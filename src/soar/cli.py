@@ -298,7 +298,7 @@ def cmd_bench(args) -> int:
     none_curve_dp: dict[float, float] = {}
     curves = []
     for idx in indices:
-        curve = evaluation.kmr_curve(Q, idx.full_store, idx, cfg["k"])
+        curve = evaluation.kmr_curve(Q, idx.full_store, idx, cfg["k"], truth=truth)
         curves.append(curve)
         if idx.policy == "none":
             for target in _TARGETS:

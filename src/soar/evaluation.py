@@ -120,10 +120,22 @@ def _partition_ranks(center_scores: np.ndarray) -> np.ndarray:
     return center_scores.shape[0] - np.searchsorted(sorted_scores, center_scores, side="left")
 
 
-def kmr_curve(Q: Dataset, X: Dataset, index, k: int) -> KmrCurve:
+def kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> KmrCurve:
     """Sweep t = 1..c. A true neighbor is kept at t when the best-ranked of
-    its partitions ranks within the top t."""
-    truth = ground_truth_ids(Q, X, k)
+    its partitions ranks within the top t.
+
+    truth, a (|Q|, k) matrix of neighbor ids, defaults to the exact
+    ground_truth_ids(Q, X, k); pass it in to score against a ground truth
+    already at hand instead of recomputing it.
+    """
+    if truth is None:
+        truth = ground_truth_ids(Q, X, k)
+    else:
+        truth = np.asarray(truth, dtype=np.int64)
+        if truth.shape != (Q.n, k):
+            raise ValueError(f"truth of shape {truth.shape} does not match ({Q.n}, {k})")
+        if truth.min() < 0 or truth.max() >= index.n:
+            raise ValueError(f"truth ids outside [0, {index.n})")
     c = index.c
     centers = index.codebook.centers.astype(np.float64)
     sizes = index.posting_sizes()

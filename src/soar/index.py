@@ -31,8 +31,10 @@ n * (4 + code_bytes) bytes, with an identical header.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -245,6 +247,8 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     qv = np.asarray(q, dtype=np.float64)
     if qv.ndim != 1 or qv.shape[0] != index.d:
         raise ValueError(f"query of shape {qv.shape} does not match index dimension {index.d}")
+    if not np.all(np.isfinite(qv)):
+        raise ValueError("query contains NaN or Inf")
     centers = index.codebook.centers.astype(np.float64)
     center_scores = (centers @ qv).astype(np.float32)
     order = np.lexsort((np.arange(index.c), -center_scores))
@@ -461,8 +465,18 @@ def deserialize(data: bytes) -> SoarIndex:
 
 
 def save(index: SoarIndex, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(index))
+    """Write the index atomically: into a temp file beside path, then
+    os.replace over it, so a failed write never leaves a partial index."""
+    path = Path(path)
+    data = serialize(index)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path) -> SoarIndex:

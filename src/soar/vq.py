@@ -99,25 +99,43 @@ class AssignmentTable:
         return self.primary.shape[0]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x||^2 - 2<x,c> + ||c||^2; tiny negatives from cancellation clip to 0
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * (points @ centers.T)
-        + (centers * centers).sum(axis=1)[None, :]
-    )
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    return (rows * rows).sum(axis=1)
+
+
+def _sq_dists(
+    points: np.ndarray, centers: np.ndarray, pnorm: np.ndarray, cnorm: np.ndarray
+) -> np.ndarray:
+    """||x||^2 - 2<x,c> + ||c||^2 given both squared norms, built in place.
+
+    Float addition commutes, so the in-place order equals the textbook
+    expression bit for bit. Tiny negatives from cancellation clip to 0.
+    """
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += pnorm[:, None]
+    d2 += cnorm[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chunked argmin over centers. Returns (assignment, squared distance)."""
+def _nearest_center(
+    points: np.ndarray, centers: np.ndarray, pnorm: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunked argmin over centers. Returns (assignment, squared distance).
+
+    pnorm, the squared row norms of points, may be passed in when the same
+    points are assigned repeatedly.
+    """
     n = points.shape[0]
+    if pnorm is None:
+        pnorm = _sq_norms(points)
+    cnorm = _sq_norms(centers)
     assign = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        d2 = _sq_dists(points[lo:hi], centers)
+        d2 = _sq_dists(points[lo:hi], centers, pnorm[lo:hi], cnorm)
         idx = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         assign[lo:hi] = idx
         dist[lo:hi] = d2[np.arange(hi - lo), idx]
@@ -127,8 +145,15 @@ def _nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((c, points.shape[1]), dtype=np.float64)
+    buf = np.empty_like(points)  # one (n, d) work buffer reused for every seed
+
+    def sq_dists_to(center: np.ndarray) -> np.ndarray:
+        np.subtract(points, center, out=buf)
+        np.multiply(buf, buf, out=buf)
+        return buf.sum(axis=1)
+
     centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = sq_dists_to(centers[0])
     for j in range(1, c):
         total = d2.sum()
         if total > 0.0:
@@ -136,8 +161,16 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.integers(n))  # all mass already covered (duplicate-heavy data)
         centers[j] = points[idx]
-        np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1), out=d2)
+        np.minimum(d2, sq_dists_to(centers[j]), out=d2)
     return centers
+
+
+def _center_sums(points: np.ndarray, assign: np.ndarray, c: int) -> np.ndarray:
+    """Per-center coordinate sums of contiguous points, rows added in index
+    order (the same order, hence the same float sums, as np.add.at)."""
+    d = points.shape[1]
+    flat = (assign[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=points.ravel(), minlength=c * d).reshape(c, d)
 
 
 def _repair_duplicate_centers(
@@ -179,7 +212,7 @@ def lloyd_kmeans(
     k-means++ seeding, empty clusters re-seeded from the point farthest from
     its current center, stop when assignments no longer change.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"c={c} outside [1, {n}]")
@@ -188,14 +221,14 @@ def lloyd_kmeans(
     if rng is None:
         rng = np.random.default_rng()
     centers = _kmeanspp_init(points, c, rng)
+    pnorm = _sq_norms(points)
     prev = None
-    assign, dist = _nearest_center(points, centers)
+    assign, dist = _nearest_center(points, centers, pnorm)
     for _ in range(max_iters):
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, points)
+        sums = _center_sums(points, assign, c)
         counts = np.bincount(assign, minlength=c).astype(np.float64)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -205,7 +238,7 @@ def lloyd_kmeans(
             far = np.lexsort((np.arange(n), -dist))
             for slot, idx in zip(empty, far[: empty.size]):
                 centers[slot] = points[idx]
-        assign, dist = _nearest_center(points, centers)
+        assign, dist = _nearest_center(points, centers, pnorm)
     return _repair_duplicate_centers(centers, points, assign, dist)
 
 
@@ -256,11 +289,12 @@ def _spill_argmin(
     centers = codebook.centers.astype(np.float64)
     prim = primary.primary.astype(np.int64)
     n = points.shape[0]
+    cnorm = _sq_norms(centers)
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         rows = points[lo:hi]
-        loss = _sq_dists(rows, centers)
+        loss = _sq_dists(rows, centers, _sq_norms(rows), cnorm)
         if lam > 0.0:
             res = rows - centers[prim[lo:hi]]
             norms = np.sqrt((res * res).sum(axis=1))

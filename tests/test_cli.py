@@ -237,6 +237,33 @@ class TestBench:
         _, rows = parse_csv(workspace / "d.csv")
         assert float(rows[1].split(",")[4]) == 1.0
 
+    def test_gt_drives_targets_table(self, workspace, capsys):
+        from soar.core import Dataset
+        from soar.evaluation import datapoints_to_recall, kmr_curve
+
+        # a deliberately wrong "truth" (the ids 0..4 for every query) must be
+        # what both the sweep and the targets table score against
+        fake = np.tile(np.arange(5, dtype=np.int32), (25, 1))
+        write_ivecs(workspace / "fake.ivecs", fake)
+        args = ("bench", "--index", "none.soar", "soar.soar", "--queries", "queries.fvecs",
+                "--k", "5", "--probes", "1", "--out")
+        assert run(capsys, *args, "g.csv", "--gt", "fake.ivecs")[0] == 0
+        assert run(capsys, *args, "x.csv", "--exact")[0] == 0
+        _, rows = parse_csv(workspace / "g.targets.csv")
+        Q = Dataset(read_fvecs(workspace / "queries.fvecs"))
+        want = ["policy,lambda,target,datapoints,gain_over_none"]
+        dps = {}
+        for name in ("none", "soar"):
+            idx = load(workspace / f"{name}.soar")
+            curve = kmr_curve(Q, idx.full_store, idx, 5, truth=fake)
+            for target in (0.8, 0.85, 0.9, 0.95):
+                dps[name, target] = datapoints_to_recall(curve, target)
+                gain = dps["none", target] / dps[name, target]
+                want.append(f"{name},{idx.lam!r},{target},{dps[name, target]:.2f},{gain:.4f}")
+        assert rows == want
+        _, exact_rows = parse_csv(workspace / "x.targets.csv")
+        assert exact_rows != rows
+
     def test_gt_shape_mismatch(self, workspace, capsys):
         write_ivecs(workspace / "short.ivecs", np.zeros((2, 6), dtype=np.int32))
         code, _, err = run(capsys, "bench", "--index", "none.soar",

@@ -141,6 +141,35 @@ class TestKmrCurve:
             curve.datapoints[0]
         )
 
+    def test_supplied_truth_matches_computed(self, instance):
+        X, Q = instance
+        idx = build(X, c=10, policy="soar", s=2, seed=3)
+        want = kmr_curve(Q, X, idx, k=10)
+        got = kmr_curve(Q, X, idx, k=10, truth=ground_truth_ids(Q, X, 10).astype(np.int32))
+        np.testing.assert_array_equal(got.datapoints, want.datapoints)
+        np.testing.assert_array_equal(got.recall, want.recall)
+
+    def test_supplied_truth_drives_recall(self, instance):
+        # every query's "truth" is three members of partition 0, so recall at
+        # t=1 is the share of queries that rank partition 0 first
+        X, Q = instance
+        idx = build(X, c=10, policy="none", s=2, seed=3)
+        truth = np.tile(idx.posting_ids[0][:3].astype(np.int64), (Q.n, 1))
+        curve = kmr_curve(Q, X, idx, k=3, truth=truth)
+        centers = idx.codebook.centers.astype(np.float64)
+        cs = np.array([centers @ q for q in Q.data.astype(np.float64)]).astype(np.float32)
+        first = np.mean((cs >= cs[:, :1]).sum(axis=1) == 1)
+        assert curve.recall[0] == first
+        assert curve.recall[-1] == 1.0
+
+    def test_supplied_truth_validated(self, instance):
+        X, Q = instance
+        idx = build(X, c=4, policy="none", s=2, seed=3)
+        with pytest.raises(ValueError, match="shape"):
+            kmr_curve(Q, X, idx, k=3, truth=np.zeros((Q.n, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="outside"):
+            kmr_curve(Q, X, idx, k=3, truth=np.full((Q.n, 3), X.n, dtype=np.int64))
+
     def test_datapoints_to_recall_bad_target(self, instance):
         X, Q = instance
         curve = kmr_curve(Q, X, build(X, c=4, policy="none", s=2, seed=3), k=3)

@@ -171,6 +171,15 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(indices["none"], np.ones(5), SearchParams(k=1, probes=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, small_data, indices, bad):
+        _, Q = small_data
+        q = Q[0].copy()
+        q[3] = bad
+        for idx in indices.values():
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                search(idx, q, SearchParams(k=5, probes=3))
+
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self, indices):
@@ -197,6 +206,42 @@ class TestSerialization:
         save(indices["naive"], path)
         out = load(path)
         assert serialize(out) == serialize(indices["naive"])
+
+    def test_failed_save_keeps_previous_file(self, indices, tmp_path, monkeypatch):
+        import soar.index
+
+        path = tmp_path / "x.soar"
+        save(indices["none"], path)
+        before = path.read_bytes()
+        real_open = open
+
+        class HalfWriter:
+            """A file that takes half the bytes, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            soar.index, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            save(indices["soar"], path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.soar"]
+        save(indices["soar"], path)
+        assert path.read_bytes() == serialize(indices["soar"])
+        assert [p.name for p in tmp_path.iterdir()] == ["x.soar"]
 
     def test_spill_size_delta_is_exact(self, small_data, indices):
         X, _ = small_data
