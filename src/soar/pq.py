@@ -85,7 +85,7 @@ def train_pq(residuals, s: int, seed: int = 0, max_iters: int = 25) -> PQCodeboo
     residuals) are allowed and simply leave duplicate centers behind.
     """
     rows = residuals.data if isinstance(residuals, Dataset) else np.asarray(residuals)
-    rows = rows.astype(np.float64)
+    rows = np.asarray(rows, dtype=np.float64)  # read only, so float64 input is not copied
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValueError(f"residuals must be a non-empty 2-D array, got shape {rows.shape}")
     d = rows.shape[1]

@@ -1,4 +1,4 @@
-"""The k-means core against a frozen reference, and build determinism.
+"""The k-means core against a frozen reference, and build and search determinism.
 
 The reference functions below are the original, unoptimized k-means core,
 kept verbatim: the library's faster inner loops (bincount center sums,
@@ -232,22 +232,30 @@ def test_serialized_index_matches_reference(monkeypatch, policy):
 
 
 # ---------------------------------------------------------------------------
-# BLAS thread count does not reach the bytes
+# BLAS thread count does not reach the bytes or the search results
 
 _HASH_BUILD = """
 import hashlib
 import numpy as np
 from soar.core import Dataset
-from soar.index import build, serialize
+from soar.index import SearchParams, build, search, serialize
 rng = np.random.default_rng(21)
 means = rng.standard_normal((16, 48)) * 2.0
 X = means[rng.integers(16, size=12000)] + rng.standard_normal((12000, 48))
 index = build(Dataset(X.astype(np.float32)), c=40, policy="soar", s=2, seed=3, lam=1.0)
 print(hashlib.sha256(serialize(index)).hexdigest())
+Q = means[rng.integers(16, size=60)] + rng.standard_normal((60, 48))
+answers = [
+    (r.datapoints_scanned, [(nb.id, nb.score) for nb in r.neighbors])
+    for q in Q
+    for r in (search(index, q, SearchParams(k=10, probes=p)) for p in (1, 4, 16))
+]
+print(hashlib.sha256(repr(answers).encode()).hexdigest())
 """
 
 
-def _hash_with_threads(threads: int) -> str:
+def _hashes_with_threads(threads: int) -> list[str]:
+    """(index bytes, search results) hashes from a fresh interpreter."""
     src = str(Path(soar.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -255,11 +263,21 @@ def _hash_with_threads(threads: int) -> str:
     out = subprocess.run(
         [sys.executable, "-c", _HASH_BUILD], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip()
+    return out.stdout.split()
 
 
-def test_index_bytes_do_not_depend_on_blas_threads():
-    one, two = _hash_with_threads(1), _hash_with_threads(2)
-    assert len(one) == 64
-    assert one == two
+@pytest.fixture(scope="module")
+def thread_hashes():
+    return _hashes_with_threads(1), _hashes_with_threads(2)
 
+
+def test_index_bytes_do_not_depend_on_blas_threads(thread_hashes):
+    one, two = thread_hashes
+    assert len(one[0]) == 64
+    assert one[0] == two[0]
+
+
+def test_search_does_not_depend_on_blas_threads(thread_hashes):
+    one, two = thread_hashes
+    assert len(one[1]) == 64
+    assert one[1] == two[1]

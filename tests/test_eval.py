@@ -154,7 +154,7 @@ class TestKmrCurve:
         # t=1 is the share of queries that rank partition 0 first
         X, Q = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        truth = np.tile(idx.posting_ids[0][:3].astype(np.int64), (Q.n, 1))
+        truth = np.tile(idx.ids[idx.offsets[0] : idx.offsets[1]][:3].astype(np.int64), (Q.n, 1))
         curve = kmr_curve(Q, X, idx, k=3, truth=truth)
         centers = idx.codebook.centers.astype(np.float64)
         cs = np.array([centers @ q for q in Q.data.astype(np.float64)]).astype(np.float32)

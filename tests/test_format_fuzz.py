@@ -1,0 +1,65 @@
+"""Fuzz of the .soar reader: a damaged file either fails with
+IndexFormatError or loads as an index that is itself valid."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soar.core import Dataset
+from soar.index import HEADER_BYTES, IndexFormatError, build, deserialize, serialize
+
+N, D, C, S = 60, 6, 7, 4
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def blobs():
+    X = Dataset(np.random.default_rng(3).standard_normal((N, D)).astype(np.float32))
+    return {policy: serialize(build(X, c=C, policy=policy, s=S, seed=2))
+            for policy in ("none", "naive", "soar")}
+
+
+def _posting_section(blob: bytes) -> tuple[int, int]:
+    m = -(-D // S)
+    start = HEADER_BYTES + 4 * C * D + 4 * m * 16 * S
+    return start, len(blob) - 4 * N * D
+
+
+def _check(blob: bytes) -> None:
+    try:
+        index = deserialize(blob)
+    except IndexFormatError:
+        return
+    again = serialize(index)
+    assert serialize(deserialize(again)) == again
+    assert index.assignment.primary.shape == (index.n,)
+
+
+policies = st.sampled_from(["none", "naive", "soar"])
+
+
+@FUZZ
+@given(policy=policies, data=st.data())
+def test_single_byte_mutation(blobs, policy, data):
+    blob = bytearray(blobs[policy])
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    blob[pos] = data.draw(st.integers(0, 255))
+    _check(bytes(blob))
+
+
+@FUZZ
+@given(policy=policies, data=st.data())
+def test_posting_section_mutation(blobs, policy, data):
+    blob = bytearray(blobs[policy])
+    start, end = _posting_section(blob)
+    pos = data.draw(st.integers(start, end - 1))
+    blob[pos] = data.draw(st.integers(0, 255))
+    _check(bytes(blob))
+
+
+@FUZZ
+@given(policy=policies, data=st.data())
+def test_truncation(blobs, policy, data):
+    blob = blobs[policy]
+    _check(blob[: data.draw(st.integers(0, len(blob) - 1))])

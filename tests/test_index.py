@@ -42,8 +42,8 @@ class TestBuild:
     def test_memberships_match_assignment(self, indices):
         idx = indices["soar"]
         member_of = [[] for _ in range(idx.n)]
-        for p, ids in enumerate(idx.posting_ids):
-            for i in ids:
+        for p in range(idx.c):
+            for i in idx.ids[idx.offsets[p] : idx.offsets[p + 1]]:
                 member_of[int(i)].append(p)
         for i in range(idx.n):
             expected = sorted({int(idx.assignment.primary[i]), int(idx.assignment.spilled[i])})
@@ -51,7 +51,8 @@ class TestBuild:
 
     def test_each_id_appears_once_per_partition(self, indices):
         for idx in indices.values():
-            for ids in idx.posting_ids:
+            for p in range(idx.c):
+                ids = idx.ids[idx.offsets[p] : idx.offsets[p + 1]]
                 assert len(set(ids.tolist())) == len(ids)
 
     def test_deterministic(self, small_data):
@@ -111,7 +112,7 @@ class TestSearch:
         centers = idx.codebook.centers.astype(np.float64)
         for q in Q[:10]:
             top_part = int(np.argmax(centers @ q))
-            allowed = set(idx.posting_ids[top_part].tolist())
+            allowed = set(idx.ids[idx.offsets[top_part] : idx.offsets[top_part + 1]].tolist())
             got = search(idx, q, SearchParams(k=5, probes=1, rerank=1200))
             assert {nb.id for nb in got.neighbors} <= allowed
             assert got.datapoints_scanned == len(allowed)
@@ -197,9 +198,11 @@ class TestSerialization:
         np.testing.assert_array_equal(out.assignment.primary, idx.assignment.primary)
         np.testing.assert_array_equal(out.assignment.spilled, idx.assignment.spilled)
         assert (out.policy, out.lam, out.seed) == (idx.policy, idx.lam, idx.seed)
+        np.testing.assert_array_equal(out.offsets, idx.offsets)
         for p in range(idx.c):
-            np.testing.assert_array_equal(out.posting_ids[p], idx.posting_ids[p])
-            np.testing.assert_array_equal(out.posting_codes[p], idx.posting_codes[p])
+            rows = slice(idx.offsets[p], idx.offsets[p + 1])
+            np.testing.assert_array_equal(out.ids[rows], idx.ids[rows])
+            np.testing.assert_array_equal(out.codes[rows], idx.codes[rows])
 
     def test_file_roundtrip(self, indices, tmp_path):
         path = tmp_path / "x.soar"
@@ -295,3 +298,89 @@ class TestSerialization:
             assert exc.section == "codebook"
         else:
             pytest.fail("expected IndexFormatError")
+
+
+class TestLazyAssignment:
+    @pytest.mark.parametrize("policy", ["none", "naive", "soar"])
+    def test_load_defers_and_matches_build(self, indices, tmp_path, monkeypatch, policy):
+        import soar.index
+
+        idx = indices[policy]
+        path = tmp_path / "x.soar"
+        save(idx, path)
+        calls = []
+        real = soar.index.assign_primary
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(soar.index, "assign_primary", counted)
+        out = load(path)
+        assert calls == []
+        derived = out.assignment
+        assert len(calls) == (0 if policy == "none" else 1)
+        assert out.assignment is derived
+        built = idx.assignment
+        assert (derived.policy, derived.lam) == (built.policy, built.lam)
+        np.testing.assert_array_equal(derived.primary, built.primary)
+        if policy == "none":
+            assert derived.spilled is None and built.spilled is None
+        else:
+            np.testing.assert_array_equal(derived.spilled, built.spilled)
+
+
+class TestEmptyPartitions:
+    """Duplicate-heavy data: 5 distinct rows at c=12 leave partitions empty,
+    so adjacent posting offsets are equal."""
+
+    @pytest.fixture(scope="class")
+    def dup(self):
+        rng = np.random.default_rng(77)
+        X = Dataset(np.repeat(rng.standard_normal((5, 8)), 40, axis=0).astype(np.float32))
+        Q = rng.standard_normal((6, 8))
+        built = {policy: build(X, c=12, policy=policy, s=2, seed=1) for policy in ("none", "soar")}
+        return X, Q, built
+
+    def test_some_partitions_empty(self, dup):
+        _, _, built = dup
+        for idx in built.values():
+            assert (idx.posting_sizes() == 0).sum() >= 5
+            assert np.any(idx.offsets[1:] == idx.offsets[:-1])
+
+    def test_roundtrip(self, dup):
+        _, _, built = dup
+        for policy, idx in built.items():
+            blob = serialize(idx)
+            out = deserialize(blob)
+            assert serialize(out) == blob, policy
+            np.testing.assert_array_equal(out.offsets, idx.offsets)
+            np.testing.assert_array_equal(out.assignment.primary, idx.assignment.primary)
+
+    def test_search_over_empty_partitions(self, dup):
+        X, Q, built = dup
+        for idx in built.values():
+            sizes = idx.posting_sizes()
+            centers = idx.codebook.centers.astype(np.float64)
+            for q in Q:
+                order = np.lexsort((np.arange(idx.c), -(centers @ q).astype(np.float32)))
+                for probes in range(1, idx.c + 1):
+                    got = search(idx, q, SearchParams(k=10, probes=probes, rerank=X.n))
+                    assert got.datapoints_scanned == int(sizes[order[:probes]].sum())
+                want = brute_force_mips(q, X, 10)
+                assert [(nb.id, nb.score) for nb in got.neighbors] == [
+                    (nb.id, nb.score) for nb in want
+                ]
+
+    def test_budget_search(self, dup):
+        X, Q, built = dup
+        for idx in built.values():
+            sizes = idx.posting_sizes()
+            centers = idx.codebook.centers.astype(np.float64)
+            for q in Q:
+                order = np.lexsort((np.arange(idx.c), -(centers @ q).astype(np.float32)))
+                cum = np.cumsum(sizes[order])
+                for budget in (0, int(cum[0]), int(cum[1]) + 1, int(cum[-1])):
+                    got = search(idx, q, SearchParams(k=5, budget=budget))
+                    assert got.datapoints_scanned == int(cum[cum <= budget].max(initial=0))
+                    assert len(got.neighbors) == (5 if got.datapoints_scanned else 0)
