@@ -147,8 +147,8 @@ def cmd_synth(args) -> int:
     if cfg["sigma"] > 0:
         points = points + cfg["sigma"] * rng.standard_normal((cfg["n"], cfg["d"]))
     vecio.write_fvecs(cfg["out"], points.astype(np.float32))
-    meta = Path(str(cfg["out"]) + ".meta")
-    meta.write_text("".join(f"{k}={_format_value(cfg[k])}\n" for k in sorted(cfg)))
+    meta = "".join(f"{k}={_format_value(cfg[k])}\n" for k in sorted(cfg))
+    index_mod.write_atomic(f"{cfg['out']}.meta", meta.encode())
     _emit_header("synth", cfg)
     print(f"wrote {cfg['n']} x {cfg['d']} float32 vectors to {cfg['out']}")
     return 0
@@ -189,9 +189,9 @@ def cmd_build(args) -> int:
     )
     build_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    blob = index_mod.serialize(idx)
-    Path(cfg["out"]).write_bytes(blob)
+    index_mod.save(idx, cfg["out"])
     write_seconds = time.perf_counter() - t0
+    actual = Path(cfg["out"]).stat().st_size
 
     spilled = cfg["policy"] != "none"
     acct = pq.memory_accounting(X.n, X.d, cfg["s"], precision="float32", spilled=spilled)
@@ -208,12 +208,12 @@ def cmd_build(args) -> int:
     print(f"build_seconds={build_seconds:.3f}")
     print(f"write_seconds={write_seconds:.3f}")
     print(f"predicted_bytes={predicted}")
-    print(f"actual_bytes={len(blob)}")
+    print(f"actual_bytes={actual}")
     print(f"per_point_pq_bytes={acct.per_point_pq}")
     print(f"spill_overhead_bytes={acct.soar_overhead_bytes}")
     print(f"relative_increase={acct.relative_increase:.6f}")
     print(f"approx_relative_increase={acct.approx_relative_increase:.6f}")
-    if predicted != len(blob):
+    if predicted != actual:
         print("warning: predicted size disagrees with serialized size", file=sys.stderr)
     return 0
 
@@ -254,20 +254,19 @@ def cmd_search(args) -> int:
 # bench
 
 
-def _bench_ground_truth(args, cfg, indices, Q) -> np.ndarray:
+def _ground_truth(args, k: int, Q: Dataset) -> np.ndarray | None:
+    """The top-k truth from --gt or --dataset, or None when neither is given."""
     if args.gt:
         ids = vecio.read_ivecs(args.gt)
-        if ids.shape[0] != Q.n or ids.shape[1] < cfg["k"]:
+        if ids.shape[0] != Q.n or ids.shape[1] < k:
             raise DataFormatError(
                 f"{args.gt}: ground truth shape {ids.shape} does not cover "
-                f"{Q.n} queries at k={cfg['k']}"
+                f"{Q.n} queries at k={k}"
             )
-        return ids[:, : cfg["k"]].astype(np.int64)
+        return ids[:, :k].astype(np.int64)
     if args.dataset:
-        return vecio.load_or_compute_ground_truth(args.dataset, args.queries, cfg["k"])
-    if args.exact:
-        return evaluation.ground_truth_ids(Q, indices[0].full_store, cfg["k"])
-    raise UsageError("bench needs one of --gt, --dataset, or --exact")
+        return vecio.load_or_compute_ground_truth(args.dataset, args.queries, k)
+    return None
 
 
 def cmd_bench(args) -> int:
@@ -290,7 +289,11 @@ def cmd_bench(args) -> int:
     for idx, path in zip(indices, args.index):
         if idx.d != Q.d:
             raise DataFormatError(f"{path}: index dimension {idx.d} != query dimension {Q.d}")
-    truth = _bench_ground_truth(args, cfg, indices, Q)
+    truth = _ground_truth(args, cfg["k"], Q)
+    if truth is None:
+        if not args.exact:
+            raise UsageError("bench needs one of --gt, --dataset, or --exact")
+        truth = evaluation.ground_truth_ids(Q, indices[0].full_store, cfg["k"])
     truth_sets = [set(map(int, row)) for row in truth]
 
     sweep_rows = []
@@ -364,7 +367,8 @@ def cmd_diagnose(args) -> int:
         cfg["summary_out"] = str(Path(cfg["out"]).with_suffix(".summary.csv"))
     idx = index_mod.load(args.index)
     Q = _load_dataset(args.queries)
-    result = evaluation.diagnostics(Q, idx.full_store, idx, cfg["k"])
+    truth = _ground_truth(args, cfg["k"], Q)  # None: exact truth, computed here
+    result = evaluation.diagnostics(Q, idx.full_store, idx, cfg["k"], truth=truth)
     spilled = idx.assignment.spilled is not None
 
     header = ["query_id", "neighbor_id", "residual_norm", "cos_primary",
@@ -532,6 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("diagnose", help="per-neighbor residual angle and rank records")
     p.add_argument("index")
     p.add_argument("queries")
+    p.add_argument("--gt", help="ivecs ground truth")
+    p.add_argument("--dataset", help="fvecs dataset; ground truth is cached beside it")
     p.add_argument("--k", type=int)
     p.add_argument("--out")
     p.add_argument("--summary-out", dest="summary_out")

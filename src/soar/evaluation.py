@@ -120,6 +120,19 @@ def _partition_ranks(center_scores: np.ndarray) -> np.ndarray:
     return center_scores.shape[0] - np.searchsorted(sorted_scores, center_scores, side="left")
 
 
+def _resolve_truth(Q: Dataset, X: Dataset, index, k: int, truth) -> np.ndarray:
+    """The supplied (|Q|, k) truth matrix, checked by shape and id range, or
+    the exact ground_truth_ids(Q, X, k) when none is supplied."""
+    if truth is None:
+        return ground_truth_ids(Q, X, k)
+    truth = np.asarray(truth, dtype=np.int64)
+    if truth.shape != (Q.n, k):
+        raise ValueError(f"truth of shape {truth.shape} does not match ({Q.n}, {k})")
+    if truth.min() < 0 or truth.max() >= index.n:
+        raise ValueError(f"truth ids outside [0, {index.n})")
+    return truth
+
+
 def kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> KmrCurve:
     """Sweep t = 1..c. A true neighbor is kept at t when the best-ranked of
     its partitions ranks within the top t.
@@ -128,14 +141,7 @@ def kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> KmrCurve:
     ground_truth_ids(Q, X, k); pass it in to score against a ground truth
     already at hand instead of recomputing it.
     """
-    if truth is None:
-        truth = ground_truth_ids(Q, X, k)
-    else:
-        truth = np.asarray(truth, dtype=np.int64)
-        if truth.shape != (Q.n, k):
-            raise ValueError(f"truth of shape {truth.shape} does not match ({Q.n}, {k})")
-        if truth.min() < 0 or truth.max() >= index.n:
-            raise ValueError(f"truth ids outside [0, {index.n})")
+    truth = _resolve_truth(Q, X, index, k, truth)
     c = index.c
     centers = index.codebook.centers.astype(np.float64)
     sizes = index.posting_sizes()
@@ -235,9 +241,13 @@ def _unit_rows(rows: np.ndarray, what: str) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def diagnostics(Q: Dataset, X: Dataset, index, k: int) -> DiagnosticsResult:
-    """Angle/error records for every (query, true top-k neighbor) pair."""
-    truth = ground_truth_ids(Q, X, k)
+def diagnostics(Q: Dataset, X: Dataset, index, k: int, truth=None) -> DiagnosticsResult:
+    """Angle/error records for every (query, true top-k neighbor) pair.
+
+    truth is handled as in kmr_curve: a (|Q|, k) matrix of neighbor ids,
+    by default the exact ground_truth_ids(Q, X, k).
+    """
+    truth = _resolve_truth(Q, X, index, k, truth)
     centers = index.codebook.centers.astype(np.float64)
     prim = index.assignment.primary
     spill = index.assignment.spilled

@@ -13,8 +13,12 @@ and E is n, or 2n for the spilled policies.
 
 Search: rank partitions by query-center inner product, gather the rows of
 the top `probes` partitions and score them with table-based approximate
-scores, dedup by id keeping the best approximate score, rerank the best
-`rerank` candidates with exact float32 scores, return the top k.
+scores (one lookup per code byte, see `pq.score_codes`), keep the pool of
+entries scoring at least the (entries per id x `rerank`)-th best, dedup the
+pool by id keeping the best approximate score, rerank the best `rerank`
+candidates with exact float32 scores, return the top k. The pool only
+drops entries that cannot reach the top `rerank`, so results equal those
+of deduplicating every scanned entry.
 
 On-disk format (".soar", little-endian throughout):
 
@@ -68,6 +72,7 @@ __all__ = [
     "deserialize",
     "save",
     "load",
+    "write_atomic",
     "HEADER_BYTES",
 ]
 
@@ -261,11 +266,22 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
         return SearchResult(neighbors=[], datapoints_scanned=0)
     # the probed rows in scan order: partition by partition, ids ascending
     rows = np.arange(scanned) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    ids = index.ids[rows].astype(np.int64)
     codes = np.take(index.codes, rows, axis=0)  # about 10x faster here than codes[rows]
     approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
         table, codes, index.pq_book.m
     )
+    rerank = params.resolved_rerank()
+    pool = index.ids.shape[0] // index.n * rerank  # entries per id (1, or 2 spilled) x rerank
+    if 0 < pool < scanned:
+        # Keep every entry scoring at least the pool-th best, ties included.
+        # The kept entries cover at least `rerank` distinct ids, and an id
+        # with any entry kept has its best entry kept, so no id left out can
+        # reach the top `rerank`: dedup and top-R over the pool equal those
+        # over every scanned entry.
+        cut = scanned - pool
+        keep = approx >= np.partition(approx, cut)[cut]
+        rows, approx = rows[keep], approx[keep]
+    ids = index.ids[rows].astype(np.int64)
     # dedup: keep the best approximate score per id
     keep = np.lexsort((-approx, ids))
     ids, approx = ids[keep], approx[keep]
@@ -273,7 +289,7 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     first[1:] = ids[1:] != ids[:-1]
     ids, approx = ids[first], approx[first]
 
-    take = np.lexsort((ids, -approx))[: params.resolved_rerank()]
+    take = np.lexsort((ids, -approx))[:rerank]
     cand = ids[take]
     exact = batch_inner_products(qv, index.full_store.data[cand])
     top = np.lexsort((cand, -exact))[: params.k]
@@ -472,10 +488,14 @@ def deserialize(data: bytes) -> SoarIndex:
 
 
 def save(index: SoarIndex, path) -> None:
-    """Write the index atomically: into a temp file beside path, then
-    os.replace over it, so a failed write never leaves a partial index."""
+    """Write the index atomically (see write_atomic)."""
+    write_atomic(path, serialize(index))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write data into a temp file beside path, then os.replace it over
+    path, so a failed write never leaves a partial file behind."""
     path = Path(path)
-    data = serialize(index)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

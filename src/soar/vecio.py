@@ -5,7 +5,11 @@ followed by that many little-endian float32 (fvecs) or int32 (ivecs)
 values. Every record in a file must have the same dimension.
 
 Exact ground truth is expensive, so it is cached beside the dataset as an
-ivecs file keyed by the dataset hash, the queries hash, and k.
+ivecs file keyed by the dataset hash, the queries hash, and k. A cache file
+is used only when it parses and holds one row of k ids per query; otherwise
+the truth is recomputed and the file rewritten. Every file is written
+atomically (temp file, then os.replace), so an interrupted write never
+leaves a partial file behind.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import numpy as np
 
 from .core import Dataset
 from .evaluation import ground_truth_ids
+from .index import write_atomic
 
 __all__ = [
     "DataFormatError",
@@ -61,7 +66,7 @@ def _write_vecs(path, arr: np.ndarray, payload_dtype: str) -> None:
     table = np.empty((n, d + 1), dtype="<u4")
     table[:, 0] = d
     table[:, 1:] = np.ascontiguousarray(arr, dtype=payload_dtype).view("<u4")
-    Path(path).write_bytes(table.tobytes())
+    write_atomic(path, table.tobytes())
 
 
 def read_fvecs(path) -> np.ndarray:
@@ -102,12 +107,15 @@ def ground_truth_cache_path(dataset_path, queries_path, k: int) -> Path:
 def load_or_compute_ground_truth(dataset_path, queries_path, k: int) -> np.ndarray:
     """Exact top-k ids for every query, cached beside the dataset."""
     cache = ground_truth_cache_path(dataset_path, queries_path, k)
+    Q = Dataset(read_fvecs(queries_path))
     if cache.exists():
-        ids = read_ivecs(cache)
-        if ids.shape[1] == k:
+        try:
+            ids = read_ivecs(cache)
+        except DataFormatError:
+            ids = None  # unreadable: recompute and overwrite it
+        if ids is not None and ids.shape == (Q.n, k):
             return ids.astype(np.int64)
     X = Dataset(read_fvecs(dataset_path))
-    Q = Dataset(read_fvecs(queries_path))
     ids = ground_truth_ids(Q, X, k)
     write_ivecs(cache, ids)
     return ids

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+import soar.index
+
 _CRITERIA: list[tuple[int, bool, str]] = []
 _COLLECTED: set[int] = set()
 
@@ -36,3 +38,36 @@ def pytest_terminal_summary(terminalreporter):
     for number, passed, detail in sorted(rows):
         word = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{word} criterion-{number}: {detail}")
+
+
+class _HalfWriter:
+    """A file that takes half the bytes, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.fixture()
+def fill_disk(monkeypatch):
+    """Call it to make every file that soar.index opens (index.save and
+    index.write_atomic, through which every index, vecs and synth file is
+    written) take half of each write and then fail like a full disk.
+    monkeypatch.undo() ends it."""
+    real_open = open
+
+    def fill():
+        monkeypatch.setattr(
+            soar.index, "open", lambda *a, **kw: _HalfWriter(real_open(*a, **kw)), raising=False
+        )
+
+    return fill

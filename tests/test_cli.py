@@ -58,6 +58,15 @@ class TestSynth:
         meta = (tmp_path / "d.fvecs.meta").read_text()
         assert "n=30\n" in meta and "sigma=0.5\n" in meta and "seed=42\n" in meta
 
+    def test_failed_synth_keeps_previous_files(self, tmp_path, capsys, fill_disk):
+        out = tmp_path / "d.fvecs"
+        run(capsys, "synth", "--n", "30", "--d", "4", "--out", str(out))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fill_disk()
+        code, _, err = run(capsys, "synth", "--n", "50", "--d", "6", "--out", str(out))
+        assert code == 2 and "no space" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run(capsys, "synth", "--n", "10")
         assert code == 1
@@ -88,6 +97,16 @@ class TestBuild:
         assert code == 0
         assert "c=3" in text.splitlines()
         assert load(tmp_path / "z.soar").c == 3
+
+    def test_failed_build_keeps_previous_file(self, workspace, capsys, fill_disk):
+        before = (workspace / "soar.soar").read_bytes()
+        listing = sorted(p.name for p in workspace.iterdir())
+        fill_disk()
+        code, _, err = run(capsys, "build", "data.fvecs", "--c", "5", "--policy", "naive",
+                           "--out", "soar.soar")
+        assert code == 2 and "no space" in err
+        assert (workspace / "soar.soar").read_bytes() == before
+        assert sorted(p.name for p in workspace.iterdir()) == listing
 
     def test_policy_stored(self, workspace):
         for policy in ("none", "naive", "soar"):
@@ -305,6 +324,38 @@ class TestDiagnose:
         assert rows[0].count(",") == 5
         _, srows = parse_csv(workspace / "diag0.summary.csv")
         assert all(r.endswith(",") for r in srows[1:])
+
+    def test_truth_sources_give_identical_csvs(self, workspace, capsys, monkeypatch):
+        import soar.evaluation
+        from soar.vecio import load_or_compute_ground_truth
+
+        ids = load_or_compute_ground_truth(workspace / "data.fvecs", workspace / "queries.fvecs", 7)
+        write_ivecs(workspace / "truth.ivecs", ids)
+        base = ("diagnose", "soar.soar", "queries.fvecs", "--k", "7", "--out", "diag.csv")
+
+        def diagnose(*extra):
+            code, text, _ = run(capsys, *base, *extra)
+            assert code == 0
+            return (text, (workspace / "diag.csv").read_bytes(),
+                    (workspace / "diag.summary.csv").read_bytes())
+
+        computed = diagnose()
+        # with the truth at hand, diagnose computes none itself
+        with monkeypatch.context() as m:
+            m.setattr(soar.evaluation, "ground_truth_ids", None)
+            assert diagnose("--dataset", "data.fvecs") == computed
+            assert diagnose("--gt", "truth.ivecs") == computed
+        # and the supplied truth is what the records describe
+        write_ivecs(workspace / "fake.ivecs", np.tile(np.arange(7, dtype=np.int32), (25, 1)))
+        assert diagnose("--gt", "fake.ivecs")[1] != computed[1]
+
+    def test_gt_shape_mismatch(self, workspace, capsys):
+        write_ivecs(workspace / "short.ivecs", np.zeros((2, 6), dtype=np.int32))
+        code, _, err = run(capsys, "diagnose", "soar.soar", "queries.fvecs",
+                           "--gt", "short.ivecs", "--k", "6", "--out", "diag.csv")
+        assert code == 2
+        assert "ground truth" in err
+        assert not (workspace / "diag.csv").exists()
 
 
 class TestVerify:

@@ -237,6 +237,25 @@ class TestDiagnostics:
             assert r.cos_primary == 0.0
             assert r.score_err_primary == 0.0
 
+    def test_supplied_truth_matches_computed(self, instance):
+        X, Q = instance
+        idx = build(X, c=10, policy="soar", s=2, seed=3)
+        want = diagnostics(Q, X, idx, k=6)
+        got = diagnostics(Q, X, idx, k=6, truth=ground_truth_ids(Q, X, 6).astype(np.int32))
+        assert got.records == want.records
+        np.testing.assert_array_equal(got.summary.counts, want.summary.counts)
+        assert got.summary.pearson_cos == want.summary.pearson_cos
+
+    def test_supplied_truth_validated(self, instance):
+        X, Q = instance
+        idx = build(X, c=4, policy="none", s=2, seed=3)
+        with pytest.raises(ValueError, match="shape"):
+            diagnostics(Q, X, idx, k=3, truth=np.zeros((Q.n, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="outside"):
+            diagnostics(Q, X, idx, k=3, truth=np.full((Q.n, 3), X.n, dtype=np.int64))
+        with pytest.raises(ValueError, match="outside"):
+            diagnostics(Q, X, idx, k=3, truth=np.full((Q.n, 3), -1, dtype=np.int64))
+
     def test_rejects_zero_norm_query(self, instance):
         X, _ = instance
         idx = build(X, c=4, policy="none", s=2, seed=3)

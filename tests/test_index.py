@@ -210,33 +210,11 @@ class TestSerialization:
         out = load(path)
         assert serialize(out) == serialize(indices["naive"])
 
-    def test_failed_save_keeps_previous_file(self, indices, tmp_path, monkeypatch):
-        import soar.index
-
+    def test_failed_save_keeps_previous_file(self, indices, tmp_path, monkeypatch, fill_disk):
         path = tmp_path / "x.soar"
         save(indices["none"], path)
         before = path.read_bytes()
-        real_open = open
-
-        class HalfWriter:
-            """A file that takes half the bytes, then fails like a full disk."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[: len(data) // 2])
-                raise OSError("no space left on device")
-
-        monkeypatch.setattr(
-            soar.index, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)), raising=False
-        )
+        fill_disk()
         with pytest.raises(OSError, match="no space"):
             save(indices["soar"], path)
         monkeypatch.undo()

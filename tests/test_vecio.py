@@ -123,6 +123,23 @@ class TestGroundTruthCache:
         )
         np.testing.assert_array_equal(ids, want)
 
+    def test_stale_cache_is_recomputed(self, tmp_path):
+        data, queries = self._write_pair(tmp_path)
+        want = load_or_compute_ground_truth(data, queries, 3)
+        cache = ground_truth_cache_path(data, queries, 3)
+        # width k but too few rows (an older write cut short), then not
+        # ivecs at all: each is recomputed and rewritten, never returned
+        for stale in (want[:2], None):
+            if stale is None:
+                cache.write_bytes(cache.read_bytes()[:-5])
+            else:
+                write_ivecs(cache, stale)
+            np.testing.assert_array_equal(load_or_compute_ground_truth(data, queries, 3), want)
+            np.testing.assert_array_equal(read_ivecs(cache), want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["base.fvecs", "q.fvecs", cache.name]
+        )
+
     def test_digest_is_content_hash(self, tmp_path):
         p = tmp_path / "b.bin"
         p.write_bytes(b"abc")
