@@ -14,6 +14,7 @@ exception: the mean_query_latency_ms column of bench is wall-clock time.
 
 import argparse
 import csv
+import io
 import sys
 import time
 from pathlib import Path
@@ -115,13 +116,19 @@ def _emit_header(command: str, cfg: dict) -> None:
         print(line)
 
 
-def _write_csv(path, command: str, cfg: dict, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in _config_lines(command, cfg):
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path, command: str, cfg: dict, header: list[str], rows) -> None:
+    """The config as # comment lines, then header and rows; written atomically."""
+    text = io.StringIO()
+    for line in _config_lines(command, cfg):
+        text.write(f"# {line}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    index_mod.write_atomic(path, text.getvalue().encode())
+
+
+def _fixed(values: np.ndarray, places: int) -> list[str]:
+    return [f"{v:.{places}f}" for v in values.tolist()]
 
 
 def _load_dataset(path) -> Dataset:
@@ -296,20 +303,15 @@ def cmd_bench(args) -> int:
         truth = evaluation.ground_truth_ids(Q, indices[0].full_store, cfg["k"])
     truth_sets = [set(map(int, row)) for row in truth]
 
+    # datapoints each index scans to reach each target; gains are over the last `none` index
+    curves = [evaluation.kmr_curve(Q, idx.full_store, idx, cfg["k"], truth=truth) for idx in indices]
+    costs = np.array([[evaluation.datapoints_to_recall(cv, t) for t in _TARGETS] for cv in curves])
+    none_costs = [cost for idx, cost in zip(indices, costs) if idx.policy == "none"]
     sweep_rows = []
     target_rows = []
-    none_curve_dp: dict[float, float] = {}
-    curves = []
-    for idx in indices:
-        curve = evaluation.kmr_curve(Q, idx.full_store, idx, cfg["k"], truth=truth)
-        curves.append(curve)
-        if idx.policy == "none":
-            for target in _TARGETS:
-                none_curve_dp[target] = evaluation.datapoints_to_recall(curve, target)
-    for idx, curve in zip(indices, curves):
-        for target in _TARGETS:
-            dp = evaluation.datapoints_to_recall(curve, target)
-            gain = f"{none_curve_dp[target] / dp:.4f}" if none_curve_dp else ""
+    for idx, cost in zip(indices, costs):
+        gains = _fixed(none_costs[-1] / cost, 4) if none_costs else [""] * len(_TARGETS)
+        for target, dp, gain in zip(_TARGETS, cost, gains):
             target_rows.append([idx.policy, _format_value(idx.lam), target, f"{dp:.2f}", gain])
         probes_list = sorted({min(p, idx.c) for p in cfg["probes"]})
         for probes in probes_list:
@@ -371,35 +373,26 @@ def cmd_diagnose(args) -> int:
     result = evaluation.diagnostics(Q, idx.full_store, idx, cfg["k"], truth=truth)
     spilled = idx.assignment.spilled is not None
 
-    header = ["query_id", "neighbor_id", "residual_norm", "cos_primary",
-              "score_err_primary", "rank_primary"]
+    header = ["neighbor_id", "residual_norm", "cos_primary", "score_err_primary", "rank_primary"]
     if spilled:
         header += ["cos_spilled", "score_err_spilled", "rank_spilled"]
-    rows = []
-    for rec in result.records:
-        row = [rec.query_id, rec.neighbor_id, f"{rec.residual_norm:.6f}",
-               f"{rec.cos_primary:.6f}", f"{rec.score_err_primary:.6f}", rec.rank_primary]
-        if spilled:
-            row += [f"{rec.cos_spilled:.6f}", f"{rec.score_err_spilled:.6f}", rec.rank_spilled]
-        rows.append(row)
-    _write_csv(cfg["out"], "diagnose", cfg, header, rows)
+    columns = [np.repeat(np.arange(Q.n), cfg["k"])] + [getattr(result, name) for name in header]
+    cells = [_fixed(col, 6) if col.dtype.kind == "f" else col.tolist() for col in columns]
+    _write_csv(cfg["out"], "diagnose", cfg, ["query_id"] + header, zip(*cells))
 
     summary = result.summary
+    spill_means = _fixed(summary.mean_rank_spilled, 4) if spilled else [""] * summary.counts.size
+    sum_cells = [summary.rank_bins.tolist(), summary.counts.tolist(),
+                 _fixed(summary.mean_score_err_primary, 6), spill_means]
     sum_header = ["rank_primary", "count", "mean_score_err_primary", "mean_rank_spilled"]
-    sum_rows = []
-    for i, b in enumerate(summary.rank_bins):
-        spill_mean = f"{summary.mean_rank_spilled[i]:.4f}" if spilled else ""
-        sum_rows.append(
-            [int(b), int(summary.counts[i]), f"{summary.mean_score_err_primary[i]:.6f}", spill_mean]
-        )
-    _write_csv(cfg["summary_out"], "diagnose", cfg, sum_header, sum_rows)
+    _write_csv(cfg["summary_out"], "diagnose", cfg, sum_header, zip(*sum_cells))
 
     _emit_header("diagnose", cfg)
     if not spilled:
         print("notice: policy 'none' has no spilled assignment; spilled columns omitted")
     if summary.pearson_cos is not None:
         print(f"pearson_cos={summary.pearson_cos:.6f}")
-    print(f"wrote {len(rows)} records to {cfg['out']}")
+    print(f"wrote {summary.num_records} records to {cfg['out']}")
     return 0
 
 

@@ -3,10 +3,11 @@
 Two families live here. The measurement side: recall, the
 kept-mips-recall curve (how much of the true top-k survives after scanning
 the t best-ranked partitions, x-axis weighted by partition size), and
-per-neighbor diagnostics of residual angles and score errors. The
-verification side: Monte Carlo checks that the spill objective and the
-score-correlation identity behave as the closed forms say they should,
-with queries drawn uniformly from the unit sphere.
+per-neighbor diagnostics of residual angles and score errors as numpy
+columns. Both work from one (queries, c) matrix of partition ranks, each
+row from its own GEMV. The verification side: Monte Carlo checks that the
+spill objective and the score-correlation identity behave as the closed
+forms say they should, with queries drawn uniformly from the unit sphere.
 
 Monte Carlo runs are blocked: each fixed-size block gets its own seed
 spawned from the master seed, and only float64 sums cross block
@@ -28,7 +29,6 @@ __all__ = [
     "recall_at_k",
     "ground_truth_ids",
     "pearson",
-    "DiagnosticsRecord",
     "DiagnosticsSummary",
     "DiagnosticsResult",
     "diagnostics",
@@ -114,10 +114,16 @@ class KmrCurve:
         return [(float(x), float(r)) for x, r in zip(self.datapoints, self.recall)]
 
 
-def _partition_ranks(center_scores: np.ndarray) -> np.ndarray:
-    """rank[j] = number of partitions scoring >= partition j (best is 1)."""
-    sorted_scores = np.sort(center_scores)
-    return center_scores.shape[0] - np.searchsorted(sorted_scores, center_scores, side="left")
+def _center_ranks(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """ranks[i, j] = number of partitions scoring >= partition j for query
+    rows[i] (best is 1). One `centers @ q` GEMV per row, cast to float32 as
+    search does: a single GEMM can differ in the last bit and reorder ties."""
+    c = centers.shape[0]
+    ranks = np.empty((rows.shape[0], c), dtype=np.int64)
+    for i, q in enumerate(rows):
+        scores = (centers @ q).astype(np.float32)
+        ranks[i] = c - np.searchsorted(np.sort(scores), scores, side="left")
+    return ranks
 
 
 def _resolve_truth(Q: Dataset, X: Dataset, index, k: int, truth) -> np.ndarray:
@@ -143,24 +149,17 @@ def kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> KmrCurve:
     """
     truth = _resolve_truth(Q, X, index, k, truth)
     c = index.c
-    centers = index.codebook.centers.astype(np.float64)
-    sizes = index.posting_sizes()
-    prim = index.assignment.primary
+    ranks = _center_ranks(Q.data.astype(np.float64), index.codebook.centers.astype(np.float64))
+    best = np.take_along_axis(ranks, index.assignment.primary[truth], axis=1)
     spill = index.assignment.spilled
-    part_ids = np.arange(c)
-    hit_counts = np.zeros(c + 1, dtype=np.int64)  # hit_counts[r]: pairs with best rank r
-    x_sums = np.zeros(c, dtype=np.int64)
-    for qi in range(Q.n):
-        cs = (centers @ Q.data[qi].astype(np.float64)).astype(np.float32)
-        ranks = _partition_ranks(cs)
-        ids = truth[qi]
-        best = ranks[prim[ids]]
-        if spill is not None:
-            best = np.minimum(best, ranks[spill[ids]])
-        hit_counts += np.bincount(best, minlength=c + 1)
-        scan_order = np.lexsort((part_ids, -cs))
-        x_sums += np.cumsum(sizes[scan_order])
+    if spill is not None:
+        best = np.minimum(best, np.take_along_axis(ranks, spill[truth], axis=1))
+    hit_counts = np.bincount(best.ravel(), minlength=c + 1)  # [r]: pairs with best rank r
     kept = np.cumsum(hit_counts)[1:]  # pairs with best rank <= t, t = 1..c
+    # each query scans partitions by rank, ties in partition-id order, as search does
+    part_ids = np.broadcast_to(np.arange(c), ranks.shape)
+    scan_order = np.lexsort((part_ids, ranks), axis=1)
+    x_sums = np.cumsum(index.posting_sizes()[scan_order], axis=1).sum(axis=0)
     recall = kept / (k * Q.n)
     datapoints = x_sums / Q.n
     return KmrCurve(
@@ -183,22 +182,6 @@ def datapoints_to_recall(curve: KmrCurve, target: float) -> float:
 
 
 @dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One (query, true neighbor) observation. Angles use the unit-norm
-    query; a zero residual contributes cosine 0 by convention."""
-
-    query_id: int
-    neighbor_id: int
-    residual_norm: float
-    cos_primary: float
-    score_err_primary: float
-    rank_primary: int
-    cos_spilled: float | None = None
-    score_err_spilled: float | None = None
-    rank_spilled: int | None = None
-
-
-@dataclass(frozen=True)
 class DiagnosticsSummary:
     policy: str
     lam: float
@@ -213,7 +196,18 @@ class DiagnosticsSummary:
 
 @dataclass(frozen=True)
 class DiagnosticsResult:
-    records: list[DiagnosticsRecord]
+    """One entry per (query, true neighbor) pair, query-major: query i owns
+    entries i*k to (i+1)*k - 1. Angles use the unit-norm query; a zero
+    residual gives cosine 0 and error 0. No spill: spilled columns are None."""
+
+    neighbor_id: np.ndarray  # int64
+    residual_norm: np.ndarray  # ||x - c|| for the primary center
+    cos_primary: np.ndarray
+    score_err_primary: np.ndarray  # <q, x - c>
+    rank_primary: np.ndarray  # int64, rank of the primary partition for this query
+    cos_spilled: np.ndarray | None
+    score_err_spilled: np.ndarray | None
+    rank_spilled: np.ndarray | None
     summary: DiagnosticsSummary
 
 
@@ -234,95 +228,64 @@ def pearson(a, b) -> float:
     return float(np.clip((da @ db) / (na * nb), -1.0, 1.0))
 
 
-def _unit_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0):
-        raise ValueError(f"{what} contains a zero-norm row")
-    return rows / norms[:, None]
-
-
 def diagnostics(Q: Dataset, X: Dataset, index, k: int, truth=None) -> DiagnosticsResult:
-    """Angle/error records for every (query, true top-k neighbor) pair.
+    """Angle/error columns for every (query, true top-k neighbor) pair.
 
     truth is handled as in kmr_curve: a (|Q|, k) matrix of neighbor ids,
     by default the exact ground_truth_ids(Q, X, k).
     """
     truth = _resolve_truth(Q, X, index, k, truth)
     centers = index.codebook.centers.astype(np.float64)
-    prim = index.assignment.primary
-    spill = index.assignment.spilled
-    data = X.data.astype(np.float64)
-    qn = _unit_rows(Q.data.astype(np.float64), "queries")
-    records: list[DiagnosticsRecord] = []
+    qv = Q.data.astype(np.float64)
+    qnorms = np.linalg.norm(qv, axis=1)
+    if np.any(qnorms == 0):
+        raise ValueError("queries contains a zero-norm row")
+    qn = qv / qnorms[:, None]
+    ranks = _center_ranks(qn, centers)
 
-    def residual_stats(q, ids, parts):
-        res = data[ids] - centers[parts]
-        norms = np.linalg.norm(res, axis=1)
-        errs = res @ q
+    def columns(table):
+        """Per pair: residual norm, error <q, r>, cos(q, r), rank of table's partition."""
+        parts = table[truth]
+        res = centers[parts]
+        np.subtract(X.data[truth], res, out=res)  # x - c in float64, no float64 copy of x
+        errs = np.matmul(res, qn[:, :, None])[:, :, 0]  # one (k, d) GEMV per query
+        # np.linalg.norm's own arithmetic, squaring in place instead of into a copy
+        norms = np.sqrt(np.add.reduce(np.multiply(res, res, out=res), axis=2))
         cosv = np.divide(errs, norms, out=np.zeros_like(errs), where=norms > 0)
-        return res, norms, errs, cosv
+        part_ranks = np.take_along_axis(ranks, parts, axis=1)
+        return norms.ravel(), errs.ravel(), cosv.ravel(), part_ranks.ravel()
 
-    for qi in range(Q.n):
-        q = qn[qi]
-        cs = (centers @ q).astype(np.float32)
-        ranks = _partition_ranks(cs)
-        ids = truth[qi]
-        _, norms, errs, cosv = residual_stats(q, ids, prim[ids])
-        if spill is None:
-            for j, v in enumerate(ids):
-                records.append(
-                    DiagnosticsRecord(
-                        query_id=qi,
-                        neighbor_id=int(v),
-                        residual_norm=float(norms[j]),
-                        cos_primary=float(cosv[j]),
-                        score_err_primary=float(errs[j]),
-                        rank_primary=int(ranks[prim[v]]),
-                    )
-                )
-        else:
-            _, _, errs2, cosv2 = residual_stats(q, ids, spill[ids])
-            for j, v in enumerate(ids):
-                records.append(
-                    DiagnosticsRecord(
-                        query_id=qi,
-                        neighbor_id=int(v),
-                        residual_norm=float(norms[j]),
-                        cos_primary=float(cosv[j]),
-                        score_err_primary=float(errs[j]),
-                        rank_primary=int(ranks[prim[v]]),
-                        cos_spilled=float(cosv2[j]),
-                        score_err_spilled=float(errs2[j]),
-                        rank_spilled=int(ranks[spill[v]]),
-                    )
-                )
-
-    rank_primary = np.array([r.rank_primary for r in records], dtype=np.int64)
-    score_err = np.array([r.score_err_primary for r in records], dtype=np.float64)
-    bins = np.unique(rank_primary)
-    counts = np.array([(rank_primary == b).sum() for b in bins], dtype=np.int64)
-    mean_err = np.array([score_err[rank_primary == b].mean() for b in bins])
-    if spill is None:
-        pear = None
-        mean_rank_spilled = None
-    else:
-        cos_p = np.array([r.cos_primary for r in records])
-        cos_s = np.array([r.cos_spilled for r in records])
-        pear = pearson(cos_p, cos_s)
-        rank_s = np.array([r.rank_spilled for r in records], dtype=np.float64)
+    norms, errs, cosv, rank_primary = columns(index.assignment.primary)
+    bins, counts = np.unique(rank_primary, return_counts=True)
+    mean_err = np.array([errs[rank_primary == b].mean() for b in bins])
+    errs2 = cosv2 = rank_spilled = pear = mean_rank_spilled = None
+    if index.assignment.spilled is not None:
+        _, errs2, cosv2, rank_spilled = columns(index.assignment.spilled)
+        pear = pearson(cosv, cosv2)
+        rank_s = rank_spilled.astype(np.float64)
         mean_rank_spilled = np.array([rank_s[rank_primary == b].mean() for b in bins])
     summary = DiagnosticsSummary(
         policy=index.policy,
         lam=index.lam,
         k=k,
-        num_records=len(records),
+        num_records=truth.size,
         pearson_cos=pear,
         rank_bins=bins,
         mean_score_err_primary=mean_err,
         mean_rank_spilled=mean_rank_spilled,
         counts=counts,
     )
-    return DiagnosticsResult(records=records, summary=summary)
+    return DiagnosticsResult(
+        neighbor_id=truth.flatten(),
+        residual_norm=norms,
+        cos_primary=cosv,
+        score_err_primary=errs,
+        rank_primary=rank_primary,
+        cos_spilled=cosv2,
+        score_err_spilled=errs2,
+        rank_spilled=rank_spilled,
+        summary=summary,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,9 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
         raise ValueError(f"query of shape {qv.shape} does not match index dimension {index.d}")
     if not np.all(np.isfinite(qv)):
         raise ValueError("query contains NaN or Inf")
+    rerank = params.resolved_rerank()
+    if rerank < 1:
+        raise ValueError("rerank must be at least 1")
     centers = index.codebook.centers.astype(np.float64)
     center_scores = (centers @ qv).astype(np.float32)
     order = np.lexsort((np.arange(index.c), -center_scores))
@@ -270,9 +273,8 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
         table, codes, index.pq_book.m
     )
-    rerank = params.resolved_rerank()
     pool = index.ids.shape[0] // index.n * rerank  # entries per id (1, or 2 spilled) x rerank
-    if 0 < pool < scanned:
+    if pool < scanned:
         # Keep every entry scoring at least the pool-th best, ties included.
         # The kept entries cover at least `rerank` distinct ids, and an id
         # with any entry kept has its best entry kept, so no id left out can
@@ -407,24 +409,19 @@ def deserialize(data: bytes) -> SoarIndex:
     if code_bytes != (m + 1) // 2:
         raise IndexFormatError("header", f"code_bytes={code_bytes} inconsistent with m={m}")
 
-    def read_f32(count: int, section: str) -> np.ndarray:
-        arr = np.frombuffer(cur.take(4 * count, section), dtype="<f4")
+    def read_f32(section: str, shape: tuple, make):
+        """make(array) from the next float32 section, shaped; a ValueError
+        from make is reported as a format error in that section."""
+        arr = np.frombuffer(cur.take(4 * math.prod(shape), section), dtype="<f4")
         if not np.all(np.isfinite(arr)):
             raise IndexFormatError(section, "non-finite float values")
-        return arr
+        try:
+            return make(arr.reshape(shape))
+        except ValueError as exc:
+            raise IndexFormatError(section, str(exc)) from exc
 
-    try:
-        codebook = Codebook(read_f32(c * d, "codebook").reshape(c, d))
-    except ValueError as exc:
-        if isinstance(exc, IndexFormatError):
-            raise
-        raise IndexFormatError("codebook", str(exc)) from exc
-    try:
-        pq_book = PQCodebook(read_f32(m * 16 * s, "pq codebook").reshape(m, 16, s), d=d)
-    except ValueError as exc:
-        if isinstance(exc, IndexFormatError):
-            raise
-        raise IndexFormatError("pq codebook", str(exc)) from exc
+    codebook = read_f32("codebook", (c, d), Codebook)
+    pq_book = read_f32("pq codebook", (m, 16, s), lambda arr: PQCodebook(arr, d=d))
 
     # The heads must be walked in order: each length says where the next
     # head sits. The entries are only bounds-checked here, then cut out at once.
@@ -461,12 +458,7 @@ def deserialize(data: bytes) -> SoarIndex:
             "posting lists", f"{total} entries for policy {policy!r}, expected {expected_total}"
         )
 
-    try:
-        full_store = Dataset(read_f32(n * d, "full store").reshape(n, d))
-    except ValueError as exc:
-        if isinstance(exc, IndexFormatError):
-            raise
-        raise IndexFormatError("full store", str(exc)) from exc
+    full_store = read_f32("full store", (n, d), Dataset)
     if cur.pos != len(data):
         raise IndexFormatError("full store", f"{len(data) - cur.pos} trailing bytes")
 

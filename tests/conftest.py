@@ -59,15 +59,17 @@ class _HalfWriter:
 
 @pytest.fixture()
 def fill_disk(monkeypatch):
-    """Call it to make every file that soar.index opens (index.save and
-    index.write_atomic, through which every index, vecs and synth file is
-    written) take half of each write and then fail like a full disk.
-    monkeypatch.undo() ends it."""
+    """Call it to make every file that soar.index opens for writing
+    (index.write_atomic, through which every index, vecs, synth and CSV
+    file is written) take half of each write and then fail like a full
+    disk; reading an index still works. monkeypatch.undo() ends it."""
     real_open = open
 
+    def half_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "w" in mode else fh
+
     def fill():
-        monkeypatch.setattr(
-            soar.index, "open", lambda *a, **kw: _HalfWriter(real_open(*a, **kw)), raising=False
-        )
+        monkeypatch.setattr(soar.index, "open", half_open, raising=False)
 
     return fill

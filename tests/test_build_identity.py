@@ -232,12 +232,14 @@ def test_serialized_index_matches_reference(monkeypatch, policy):
 
 
 # ---------------------------------------------------------------------------
-# BLAS thread count does not reach the bytes or the search results
+# BLAS thread count does not reach the bytes, the search results or the evaluation
 
 _HASH_BUILD = """
+import dataclasses
 import hashlib
 import numpy as np
 from soar.core import Dataset
+from soar.evaluation import diagnostics, kmr_curve
 from soar.index import SearchParams, build, search, serialize
 rng = np.random.default_rng(21)
 means = rng.standard_normal((16, 48)) * 2.0
@@ -251,11 +253,21 @@ answers = [
     for r in (search(index, q, SearchParams(k=10, probes=p)) for p in (1, 4, 16))
 ]
 print(hashlib.sha256(repr(answers).encode()).hexdigest())
+Qd = Dataset(Q.astype(np.float32))
+curve = kmr_curve(Qd, index.full_store, index, 10)
+diag = diagnostics(Qd, index.full_store, index, 10)
+evaluation = [curve.datapoints, curve.recall]
+evaluation += [getattr(diag, f.name) for f in dataclasses.fields(diag) if f.name != "summary"]
+evaluation += [getattr(diag.summary, f.name) for f in dataclasses.fields(diag.summary)]
+print(hashlib.sha256(
+    repr([v.tobytes() if isinstance(v, np.ndarray) else v for v in evaluation]).encode()
+).hexdigest())
 """
 
 
 def _hashes_with_threads(threads: int) -> list[str]:
-    """(index bytes, search results) hashes from a fresh interpreter."""
+    """(index bytes, search results, evaluation outputs) hashes from a fresh
+    interpreter."""
     src = str(Path(soar.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -281,3 +293,9 @@ def test_search_does_not_depend_on_blas_threads(thread_hashes):
     one, two = thread_hashes
     assert len(one[1]) == 64
     assert one[1] == two[1]
+
+
+def test_evaluation_does_not_depend_on_blas_threads(thread_hashes):
+    one, two = thread_hashes
+    assert len(one[2]) == 64
+    assert one[2] == two[2]

@@ -184,6 +184,15 @@ class TestSearch:
             want = [nb.id for nb in brute_force_mips(Q[qi], X, 5)]
             assert got[qi] == want
 
+    @pytest.mark.parametrize("flag,value", [("--probes", "0"), ("--rerank", "0"),
+                                            ("--rerank", "-1")])
+    def test_bad_search_params(self, workspace, capsys, flag, value):
+        code, _, err = run(capsys, "search", "soar.soar", "queries.fvecs", "--k", "3",
+                           flag, value, "--out", "res.csv")
+        assert code == 2
+        assert "at least 1" in err
+        assert not (workspace / "res.csv").exists()
+
     def test_corrupt_index(self, workspace, capsys):
         (workspace / "broken.soar").write_bytes(b"SOAR but not really")
         code, _, err = run(capsys, "search", "broken.soar", "queries.fvecs")
@@ -291,6 +300,15 @@ class TestBench:
         assert code == 2
         assert "ground truth" in err
 
+    @pytest.mark.parametrize("rerank", ["0", "-1"])
+    def test_bad_rerank(self, workspace, capsys, rerank):
+        code, _, err = run(capsys, "bench", "--index", "soar.soar", "--queries", "queries.fvecs",
+                           "--exact", "--k", "3", "--probes", "1,4", "--rerank", rerank,
+                           "--out", "b.csv")
+        assert code == 2
+        assert "rerank must be at least 1" in err
+        assert not (workspace / "b.csv").exists()
+
     def test_needs_a_truth_source(self, workspace, capsys):
         code, _, err = run(capsys, "bench", "--index", "none.soar",
                            "--queries", "queries.fvecs", "--out", "f.csv")
@@ -348,6 +366,16 @@ class TestDiagnose:
         # and the supplied truth is what the records describe
         write_ivecs(workspace / "fake.ivecs", np.tile(np.arange(7, dtype=np.int32), (25, 1)))
         assert diagnose("--gt", "fake.ivecs")[1] != computed[1]
+
+    def test_failed_diagnose_keeps_previous_csv(self, workspace, capsys, fill_disk):
+        args = ("diagnose", "soar.soar", "queries.fvecs", "--k", "4")
+        assert run(capsys, *args, "--out", "diag.csv")[0] == 0
+        before = {p.name: p.read_bytes() for p in workspace.iterdir()}
+        fill_disk()
+        for out in ("diag.csv", "other.csv"):
+            code, _, err = run(capsys, *args, "--out", out)
+            assert code == 2 and "no space" in err
+        assert {p.name: p.read_bytes() for p in workspace.iterdir()} == before
 
     def test_gt_shape_mismatch(self, workspace, capsys):
         write_ivecs(workspace / "short.ivecs", np.zeros((2, 6), dtype=np.int32))

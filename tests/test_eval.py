@@ -197,19 +197,23 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+_COLUMNS = ("neighbor_id", "residual_norm", "cos_primary", "score_err_primary",
+            "rank_primary", "cos_spilled", "score_err_spilled", "rank_spilled")
+
+
 class TestDiagnostics:
     def test_record_count_and_ranges(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="soar", s=2, seed=3)
         out = diagnostics(Q, X, idx, k=10)
-        assert len(out.records) == Q.n * 10
+        for name in _COLUMNS:
+            assert getattr(out, name).shape == (Q.n * 10,), name
         assert out.summary.num_records == Q.n * 10
-        for r in out.records:
-            assert -1.0 <= r.cos_primary <= 1.0
-            assert -1.0 <= r.cos_spilled <= 1.0
-            assert 1 <= r.rank_primary <= 10
-            assert 1 <= r.rank_spilled <= 10
-            assert r.residual_norm >= 0.0
+        assert np.all((-1.0 <= out.cos_primary) & (out.cos_primary <= 1.0))
+        assert np.all((-1.0 <= out.cos_spilled) & (out.cos_spilled <= 1.0))
+        assert np.all((1 <= out.rank_primary) & (out.rank_primary <= 10))
+        assert np.all((1 <= out.rank_spilled) & (out.rank_spilled <= 10))
+        assert np.all(out.residual_norm >= 0.0)
         assert out.summary.pearson_cos is not None
         assert out.summary.counts.sum() == Q.n * 10
 
@@ -219,7 +223,10 @@ class TestDiagnostics:
         out = diagnostics(Q, X, idx, k=5)
         assert out.summary.pearson_cos is None
         assert out.summary.mean_rank_spilled is None
-        assert all(r.cos_spilled is None for r in out.records)
+        assert out.cos_spilled is None
+        assert out.score_err_spilled is None
+        assert out.rank_spilled is None
+        assert out.cos_primary.shape == (Q.n * 5,)
 
     def test_zero_residual_scores_as_orthogonal(self):
         rows = np.zeros((40, 2), dtype=np.float32)
@@ -230,19 +237,19 @@ class TestDiagnostics:
         Q = Dataset(np.array([[1.0, 0.0]], dtype=np.float32))
         idx = build(X, c=2, policy="naive", s=2, seed=1)
         out = diagnostics(Q, X, idx, k=10)
-        copies = [r for r in out.records if r.neighbor_id < 30]
-        assert copies, "query should retrieve the duplicated points"
-        for r in copies:
-            assert r.residual_norm == 0.0
-            assert r.cos_primary == 0.0
-            assert r.score_err_primary == 0.0
+        copies = out.neighbor_id < 30
+        assert copies.any(), "query should retrieve the duplicated points"
+        assert np.all(out.residual_norm[copies] == 0.0)
+        assert np.all(out.cos_primary[copies] == 0.0)
+        assert np.all(out.score_err_primary[copies] == 0.0)
 
     def test_supplied_truth_matches_computed(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="soar", s=2, seed=3)
         want = diagnostics(Q, X, idx, k=6)
         got = diagnostics(Q, X, idx, k=6, truth=ground_truth_ids(Q, X, 6).astype(np.int32))
-        assert got.records == want.records
+        for name in _COLUMNS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         np.testing.assert_array_equal(got.summary.counts, want.summary.counts)
         assert got.summary.pearson_cos == want.summary.pearson_cos
 

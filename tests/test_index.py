@@ -163,6 +163,15 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(indices["none"], Q[0], SearchParams(k=5))
 
+    @pytest.mark.parametrize("rerank", [0, -1])
+    def test_rerank_below_one_rejected(self, small_data, indices, rerank):
+        _, Q = small_data
+        for idx in indices.values():
+            for params in (SearchParams(k=5, probes=3, rerank=rerank),
+                           SearchParams(k=5, budget=0, rerank=rerank)):
+                with pytest.raises(ValueError, match="rerank must be at least 1"):
+                    search(idx, Q[0], params)
+
     def test_default_rerank(self):
         assert SearchParams(k=3).resolved_rerank() == 100
         assert SearchParams(k=50).resolved_rerank() == 500
