@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: synth, build, search, bench, diagnose, verify. Every command
-resolves its parameters from built-in defaults, then an optional key=value
-config file (--config), then explicit flags, and embeds the resolved
-config in its output header so runs can be reproduced.
+Subcommands: synth, build, search, bench, diagnose, verify. The argument
+parser declares every option once, with its default, type and choices. A
+--config file's key=value lines (a key is an option name; `lambda` or `lam`
+sets --lambda) are parsed as flags placed before the explicit ones, which
+override them; inputs cannot come from the file. Every command embeds its
+resolved config in its output header so runs can be reproduced.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error,
 3 verification failure.
@@ -24,13 +26,15 @@ import numpy as np
 from . import evaluation, index as index_mod, pq, vecio
 from .core import Dataset
 from .evaluation import MIN_THEOREM_SAMPLES
-from .index import IndexFormatError, SearchParams
+from .index import SearchParams
 from .vecio import DataFormatError
 
 __all__ = ["main"]
 
 _REQUIRED = object()
 _TARGETS = (0.8, 0.85, 0.9, 0.95)
+# parsed names that are not options: neither config-file keys nor in the resolved config
+_NOT_OPTIONS = ("dataset", "index", "queries", "gt", "exact", "config", "help", "command", "func")
 
 
 class UsageError(Exception):
@@ -49,9 +53,12 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -71,29 +78,28 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
-_ALIASES = {"lambda": "lam"}
+def _config_argv(parser: argparse.ArgumentParser, command: str, path) -> list[str]:
+    """The config file's lines as --flag=value tokens for `parser`. A key is an
+    option's dest or its flag spelled with underscores: `lam` or `lambda`."""
+    flags = {}
+    for action in parser._actions:
+        if action.option_strings and action.dest not in _NOT_OPTIONS:
+            flag = action.option_strings[0]
+            flags[action.dest] = flags[flag[2:].replace("-", "_")] = flag
+    tokens = []
+    for key, value in _read_config_file(path).items():
+        if key not in flags:
+            raise UsageError(f"unknown config key {key!r} for {command}")
+        tokens.append(f"{flags[key]}={value}")
+    return tokens
 
 
-def _resolve(args, command: str, defaults: dict, converters: dict) -> dict:
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, raw in _read_config_file(config_path).items():
-            key = _ALIASES.get(key, key)
-            if key not in cfg:
-                raise UsageError(f"unknown config key {key!r} for {command}")
-            conv = converters.get(key, str)
-            try:
-                cfg[key] = conv(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"bad config value for {key}: {exc}")
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    missing = sorted(k for k, v in cfg.items() if v is _REQUIRED)
+def _config(args) -> dict:
+    """The resolved config: every parsed option's value."""
+    cfg = {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
+    missing = sorted(key for key, value in cfg.items() if value is _REQUIRED)
     if missing:
-        raise UsageError(f"{command}: missing required option(s): {', '.join(missing)}")
+        raise UsageError(f"{args.command}: missing required option(s): {', '.join(missing)}")
     return cfg
 
 
@@ -135,14 +141,22 @@ def _load_dataset(path) -> Dataset:
     return Dataset(vecio.read_fvecs(path))
 
 
+def _load_indices(paths, queries) -> tuple[list[index_mod.SoarIndex], Dataset]:
+    """The indices and the query set, which must match every index's dimension."""
+    indices = [index_mod.load(p) for p in paths]
+    Q = _load_dataset(queries)
+    for idx, path in zip(indices, paths):
+        if idx.d != Q.d:
+            raise DataFormatError(f"{path}: index dimension {idx.d} != query dimension {Q.d}")
+    return indices, Q
+
+
 # ---------------------------------------------------------------------------
 # synth
 
 
 def cmd_synth(args) -> int:
-    defaults = {"n": 1000, "d": 16, "clusters": 10, "sigma": 0.25, "seed": 42, "out": _REQUIRED}
-    convs = {"n": int, "d": int, "clusters": int, "sigma": float, "seed": int}
-    cfg = _resolve(args, "synth", defaults, convs)
+    cfg = _config(args)
     if cfg["n"] < 1 or cfg["d"] < 1 or cfg["clusters"] < 1:
         raise UsageError("n, d, and clusters must all be at least 1")
     if cfg["sigma"] < 0:
@@ -166,23 +180,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build(args) -> int:
-    defaults = {
-        "c": None,  # None means n / 400, the usual partition sizing rule
-        "policy": "soar",
-        "lam": 1.0,
-        "s": 2,
-        "seed": 42,
-        "max_iters": 25,
-        "out": _REQUIRED,
-    }
-    convs = {"c": int, "policy": str, "lam": float, "s": int, "seed": int, "max_iters": int}
-    cfg = _resolve(args, "build", defaults, convs)
+    cfg = _config(args)
     X = _load_dataset(args.dataset)
     if cfg["c"] is None:
         cfg["c"] = max(1, round(X.n / 400))
     cfg["dataset"] = str(args.dataset)
-    if cfg["policy"] not in index_mod.POLICIES:
-        raise UsageError(f"policy must be one of {', '.join(index_mod.POLICIES)}")
 
     t0 = time.perf_counter()
     idx = index_mod.build(
@@ -230,9 +232,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_search(args) -> int:
-    defaults = {"k": 10, "probes": None, "rerank": None, "budget": None, "out": None}
-    convs = {"k": int, "probes": int, "rerank": int, "budget": int}
-    cfg = _resolve(args, "search", defaults, convs)
+    cfg = _config(args)
     idx = index_mod.load(args.index)
     Q = _load_dataset(args.queries)
     if cfg["probes"] is None and cfg["budget"] is None:
@@ -277,25 +277,16 @@ def _ground_truth(args, k: int, Q: Dataset) -> np.ndarray | None:
 
 
 def cmd_bench(args) -> int:
-    defaults = {
-        "k": 10,
-        "probes": [1, 2, 4, 8, 16, 32, 64],
-        "rerank": None,
-        "out": _REQUIRED,
-        "targets_out": None,
-    }
-    convs = {"k": int, "probes": _int_list, "rerank": int}
-    cfg = _resolve(args, "bench", defaults, convs)
+    cfg = _config(args)
     cfg["index"] = [str(p) for p in args.index]
     cfg["queries"] = str(args.queries)
     if cfg["targets_out"] is None:
         cfg["targets_out"] = str(Path(cfg["out"]).with_suffix(".targets.csv"))
 
-    indices = [index_mod.load(p) for p in args.index]
-    Q = _load_dataset(args.queries)
-    for idx, path in zip(indices, args.index):
-        if idx.d != Q.d:
-            raise DataFormatError(f"{path}: index dimension {idx.d} != query dimension {Q.d}")
+    indices, Q = _load_indices(args.index, args.queries)
+    # built before the truth, so bad search parameters fail before any work
+    sweeps = [[SearchParams(k=cfg["k"], probes=probes, rerank=cfg["rerank"])
+               for probes in sorted({min(p, idx.c) for p in cfg["probes"]})] for idx in indices]
     truth = _ground_truth(args, cfg["k"], Q)
     if truth is None:
         if not args.exact:
@@ -309,13 +300,11 @@ def cmd_bench(args) -> int:
     none_costs = [cost for idx, cost in zip(indices, costs) if idx.policy == "none"]
     sweep_rows = []
     target_rows = []
-    for idx, cost in zip(indices, costs):
+    for idx, cost, sweep in zip(indices, costs, sweeps):
         gains = _fixed(none_costs[-1] / cost, 4) if none_costs else [""] * len(_TARGETS)
         for target, dp, gain in zip(_TARGETS, cost, gains):
             target_rows.append([idx.policy, _format_value(idx.lam), target, f"{dp:.2f}", gain])
-        probes_list = sorted({min(p, idx.c) for p in cfg["probes"]})
-        for probes in probes_list:
-            params = SearchParams(k=cfg["k"], probes=probes, rerank=cfg["rerank"])
+        for params in sweep:
             hits = 0
             scanned = 0
             started = time.perf_counter_ns()
@@ -328,7 +317,7 @@ def cmd_bench(args) -> int:
                 [
                     idx.policy,
                     _format_value(idx.lam),
-                    probes,
+                    params.probes,
                     f"{scanned / Q.n:.2f}",
                     f"{hits / (cfg['k'] * Q.n):.6f}",
                     f"{elapsed_ms / Q.n:.4f}",
@@ -360,15 +349,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    defaults = {"k": 100, "out": _REQUIRED, "summary_out": None}
-    convs = {"k": int}
-    cfg = _resolve(args, "diagnose", defaults, convs)
+    cfg = _config(args)
     cfg["index"] = str(args.index)
     cfg["queries"] = str(args.queries)
     if cfg["summary_out"] is None:
         cfg["summary_out"] = str(Path(cfg["out"]).with_suffix(".summary.csv"))
-    idx = index_mod.load(args.index)
-    Q = _load_dataset(args.queries)
+    [idx], Q = _load_indices([args.index], args.queries)
     truth = _ground_truth(args, cfg["k"], Q)  # None: exact truth, computed here
     result = evaluation.diagnostics(Q, idx.full_store, idx, cfg["k"], truth=truth)
     spilled = idx.assignment.spilled is not None
@@ -401,26 +387,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    defaults = {
-        "d": 32,
-        "lambdas": [0.0, 1.0, 2.0],
-        "samples": 1_000_000,
-        "pairs": 10,
-        "seed": 42,
-        "theorem_tol": 0.02,
-        "lemma_tol": 0.005,
-        "out": None,
-    }
-    convs = {
-        "d": int,
-        "lambdas": _float_list,
-        "samples": int,
-        "pairs": int,
-        "seed": int,
-        "theorem_tol": float,
-        "lemma_tol": float,
-    }
-    cfg = _resolve(args, "verify", defaults, convs)
+    cfg = _config(args)
     if cfg["d"] < 2:
         raise UsageError("d must be at least 2")
     if cfg["pairs"] < 1:
@@ -471,45 +438,39 @@ def cmd_verify(args) -> int:
 # parser plumbing
 
 
-def _add_config_flag(sub) -> None:
-    sub.add_argument("--config", help="key=value file; explicit flags override it")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and the subcommand parsers by name; a required option defaults to _REQUIRED."""
     parser = argparse.ArgumentParser(prog="soar", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("synth", help="generate a Gaussian-mixture fvecs dataset")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    _add_config_flag(p)
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--d", type=int, default=16)
+    p.add_argument("--clusters", type=int, default=10)
+    p.add_argument("--sigma", type=float, default=0.25)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--out", default=_REQUIRED)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("build", help="build a .soar index from an fvecs dataset")
     p.add_argument("dataset")
-    p.add_argument("--out")
+    p.add_argument("--out", default=_REQUIRED)
     p.add_argument("--c", type=int, help="partitions; default is n / 400")
-    p.add_argument("--policy", choices=("none", "naive", "soar"))
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--s", type=int, help="dimensions per quantizer subspace")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    _add_config_flag(p)
+    p.add_argument("--policy", choices=index_mod.POLICIES, default="soar")
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--s", type=int, default=2, help="dimensions per quantizer subspace")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=25)
     p.set_defaults(func=cmd_build)
 
     p = subs.add_parser("search", help="run queries against an index, emit result rows")
     p.add_argument("index")
     p.add_argument("queries")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, default=10)
     p.add_argument("--probes", type=int)
     p.add_argument("--rerank", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_search)
 
     p = subs.add_parser("bench", help="probe sweep and scan-cost targets across indices")
@@ -518,12 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", help="ivecs ground truth")
     p.add_argument("--dataset", help="fvecs dataset; ground truth is cached beside it")
     p.add_argument("--exact", action="store_true", help="brute-force ground truth in memory")
-    p.add_argument("--k", type=int)
-    p.add_argument("--probes", type=_int_list)
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--probes", type=_int_list, default=[1, 2, 4, 8, 16, 32, 64])
     p.add_argument("--rerank", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", default=_REQUIRED)
     p.add_argument("--targets-out", dest="targets_out")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("diagnose", help="per-neighbor residual angle and rank records")
@@ -531,45 +491,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("queries")
     p.add_argument("--gt", help="ivecs ground truth")
     p.add_argument("--dataset", help="fvecs dataset; ground truth is cached beside it")
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
+    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--out", default=_REQUIRED)
     p.add_argument("--summary-out", dest="summary_out")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = subs.add_parser("verify", help="Monte Carlo checks of the spill objective")
-    p.add_argument("--d", type=int)
-    p.add_argument("--lambdas", type=_float_list)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--theorem-tol", dest="theorem_tol", type=float)
-    p.add_argument("--lemma-tol", dest="lemma_tol", type=float)
+    p.add_argument("--d", type=int, default=32)
+    p.add_argument("--lambdas", type=_float_list, default=[0.0, 1.0, 2.0])
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--theorem-tol", dest="theorem_tol", type=float, default=0.02)
+    p.add_argument("--lemma-tol", dest="lemma_tol", type=float, default=0.005)
     p.add_argument("--out")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    for p in subs.choices.values():
+        p.add_argument("--config", help="key=value file; explicit flags override it")
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        if args.config:
+            # the file's values go right after the command name, so explicit flags win
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_argv(commands[args.command], args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse: --help, or a bad flag or config value
+        return 0 if exc.code == 0 else 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, IndexFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # includes DataFormatError and IndexFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

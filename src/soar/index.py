@@ -92,19 +92,28 @@ class IndexFormatError(ValueError):
         super().__init__(f"{section}: {message}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchParams:
     """How hard to look: partitions to probe, rerank depth, optional budget.
 
     budget, when set, overrides probes: whole partitions are scanned in rank
     order until the next one would push the scanned-datapoint count past the
-    budget. rerank defaults to max(10 * k, 100).
+    budget. rerank defaults to max(10 * k, 100). Construction raises
+    ValueError for probes or rerank below 1 and for a negative budget.
     """
 
     k: int
     probes: int | None = None
     rerank: int | None = None
     budget: int | None = None
+
+    def __post_init__(self):
+        if self.probes is not None and self.probes < 1:
+            raise ValueError("probes must be at least 1")
+        if self.rerank is not None and self.rerank < 1:
+            raise ValueError("rerank must be at least 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be non-negative")
 
     def resolved_rerank(self) -> int:
         return self.rerank if self.rerank is not None else max(10 * self.k, 100)
@@ -231,16 +240,12 @@ def build(
 
 def _partitions_to_scan(index: SoarIndex, order: np.ndarray, params: SearchParams) -> np.ndarray:
     if params.budget is not None:
-        if params.budget < 0:
-            raise ValueError("budget must be non-negative")
         sizes = index.posting_sizes()[order]
         within = np.cumsum(sizes) <= params.budget
         stop = int(np.argmin(within)) if not within.all() else order.shape[0]
         return order[:stop]
     if params.probes is None:
         raise ValueError("need probes or budget")
-    if params.probes < 1:
-        raise ValueError("probes must be at least 1")
     return order[: min(params.probes, index.c)]  # probes past c just means "all"
 
 
@@ -254,8 +259,6 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     if not np.all(np.isfinite(qv)):
         raise ValueError("query contains NaN or Inf")
     rerank = params.resolved_rerank()
-    if rerank < 1:
-        raise ValueError("rerank must be at least 1")
     centers = index.codebook.centers.astype(np.float64)
     center_scores = (centers @ qv).astype(np.float32)
     order = np.lexsort((np.arange(index.c), -center_scores))

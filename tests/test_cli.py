@@ -20,6 +20,11 @@ def parse_csv(path):
     return comments, rows
 
 
+def strip_latency(text):
+    """bench's sweep CSV without its last, wall-clock, column."""
+    return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
+
+
 @pytest.fixture()
 def workspace(tmp_path, capsys, monkeypatch):
     """A synthesized dataset, query set, and one index per policy, all built
@@ -233,10 +238,6 @@ class TestBench:
         first_targets = (workspace / "b.targets.csv").read_text()
         assert run(capsys, *args)[0] == 0
         second = (workspace / "b.csv").read_text()
-
-        def strip_latency(text):
-            return ["," .join(line.split(",")[:-1]) for line in text.splitlines()]
-
         assert strip_latency(first) == strip_latency(second)
         assert (workspace / "b.targets.csv").read_text() == first_targets
 
@@ -302,12 +303,15 @@ class TestBench:
 
     @pytest.mark.parametrize("rerank", ["0", "-1"])
     def test_bad_rerank(self, workspace, capsys, rerank):
-        code, _, err = run(capsys, "bench", "--index", "soar.soar", "--queries", "queries.fvecs",
-                           "--exact", "--k", "3", "--probes", "1,4", "--rerank", rerank,
-                           "--out", "b.csv")
-        assert code == 2
-        assert "rerank must be at least 1" in err
-        assert not (workspace / "b.csv").exists()
+        for truth in (["--exact"], ["--dataset", "data.fvecs"]):
+            code, _, err = run(capsys, "bench", "--index", "soar.soar", "--queries", "queries.fvecs",
+                               *truth, "--k", "3", "--probes", "1,4", "--rerank", rerank,
+                               "--out", "b.csv")
+            assert code == 2
+            assert "rerank must be at least 1" in err
+            assert not (workspace / "b.csv").exists()
+        # rejected before any work: no ground truth was computed and cached
+        assert not list(workspace.glob("*.gt_*.ivecs"))
 
     def test_needs_a_truth_source(self, workspace, capsys):
         code, _, err = run(capsys, "bench", "--index", "none.soar",
@@ -385,6 +389,21 @@ class TestDiagnose:
         assert "ground truth" in err
         assert not (workspace / "diag.csv").exists()
 
+    @pytest.mark.parametrize("truth", ["computed", "gt", "cached"])
+    def test_query_dimension_mismatch(self, workspace, capsys, truth):
+        from soar.vecio import ground_truth_cache_path
+
+        run(capsys, "synth", "--n", "25", "--d", "4", "--seed", "9", "--out", "q4.fvecs")
+        fake = np.zeros((25, 6), dtype=np.int32)  # a truth of the right shape
+        write_ivecs(workspace / "q4.ivecs", fake)
+        write_ivecs(ground_truth_cache_path("data.fvecs", "q4.fvecs", 6), fake)
+        extra = {"computed": [], "gt": ["--gt", "q4.ivecs"], "cached": ["--dataset", "data.fvecs"]}
+        code, _, err = run(capsys, "diagnose", "soar.soar", "q4.fvecs", *extra[truth],
+                           "--k", "6", "--out", "diag.csv")
+        assert code == 2
+        assert "soar.soar: index dimension 8 != query dimension 4" in err
+        assert not (workspace / "diag.csv").exists()
+
 
 class TestVerify:
     def test_passes_at_default_tolerance(self, capsys):
@@ -410,10 +429,100 @@ class TestVerify:
         assert rows[0] == "check,lambda,pair,observed_error,tolerance,status"
         assert any(r.endswith("FAIL") for r in rows[1:])
 
+    def test_rejects_empty_lambdas(self, tmp_path, capsys):
+        args = ("verify", "--d", "8", "--pairs", "1", "--samples", "100000")
+        code, text, err = run(capsys, *args, "--lambdas", ",")
+        assert code == 1 and "RESULT" not in text
+        assert "--lambdas" in err
+        (tmp_path / "v.cfg").write_text("lambdas=\n")
+        assert run(capsys, *args, "--config", str(tmp_path / "v.cfg"))[0] == 1
+
     def test_rejects_small_samples(self, capsys):
         code, _, err = run(capsys, "verify", "--samples", "5000")
         assert code == 1
         assert "samples" in err
+
+
+# Per case: the command, its inputs, and every option as (config key, flag, value).
+# No value is the option's default, so equal outputs show that the file set it.
+OPTIONS = {
+    "synth": ("synth", [], [
+        ("n", "--n", "40"), ("d", "--d", "5"), ("clusters", "--clusters", "3"),
+        ("sigma", "--sigma", "0.5"), ("seed", "--seed", "3"), ("out", "--out", "o.fvecs")]),
+    "build-lambda": ("build", ["data.fvecs"], [
+        ("c", "--c", "5"), ("policy", "--policy", "soar"), ("lambda", "--lambda", "1.5"),
+        ("s", "--s", "4"), ("seed", "--seed", "3"), ("max_iters", "--max-iters", "10"),
+        ("out", "--out", "o.soar")]),
+    "build-lam": ("build", ["data.fvecs"], [
+        ("c", "--c", "6"), ("policy", "--policy", "naive"), ("lam", "--lambda", "0.5"),
+        ("s", "--s", "1"), ("seed", "--seed", "4"), ("max_iters", "--max-iters", "5"),
+        ("out", "--out", "o.soar")]),
+    "search": ("search", ["soar.soar", "queries.fvecs"], [
+        ("k", "--k", "4"), ("probes", "--probes", "3"), ("rerank", "--rerank", "20"),
+        ("budget", "--budget", "200"), ("out", "--out", "o.csv")]),
+    "bench": ("bench", ["--index", "none.soar", "soar.soar", "--queries", "queries.fvecs",
+                        "--exact"], [
+        ("k", "--k", "5"), ("probes", "--probes", "2,4"), ("rerank", "--rerank", "30"),
+        ("out", "--out", "o.csv"), ("targets_out", "--targets-out", "t.csv")]),
+    "diagnose": ("diagnose", ["naive.soar", "queries.fvecs"], [
+        ("k", "--k", "6"), ("out", "--out", "o.csv"), ("summary_out", "--summary-out", "s.csv")]),
+    "verify": ("verify", [], [
+        ("d", "--d", "6"), ("lambdas", "--lambdas", "0,1"), ("samples", "--samples", "100000"),
+        ("pairs", "--pairs", "1"), ("seed", "--seed", "5"), ("theorem_tol", "--theorem-tol", "0.03"),
+        ("lemma_tol", "--lemma-tol", "0.01"), ("out", "--out", "o.csv")]),
+}
+
+
+class TestConfig:
+    @staticmethod
+    def outputs(workspace, capsys, command, *argv):
+        """Exit code, stdout without timings, and each output file (bench's sweep
+        without its latency column), which is then removed."""
+        code, text, _ = run(capsys, command, *argv)
+        lines = [l for l in text.splitlines() if not l.startswith(("build_seconds", "write_seconds"))]
+        files = {}
+        for path in sorted(workspace.glob("[ost].*")):
+            files[path.name] = (strip_latency(path.read_text()) if command == "bench"
+                                and path.name == "o.csv" else path.read_bytes())
+            path.unlink()
+        return code, lines, files
+
+    @pytest.mark.parametrize("case", sorted(OPTIONS))
+    def test_file_equals_flags(self, workspace, capsys, case):
+        command, inputs, options = OPTIONS[case]
+        (workspace / "all.cfg").write_text("".join(f"{key}={value}\n" for key, _, value in options))
+        flags = [token for _, flag, value in options for token in (flag, value)]
+        from_flags = self.outputs(workspace, capsys, command, *inputs, *flags)
+        from_file = self.outputs(workspace, capsys, command, *inputs, "--config", "all.cfg")
+        assert from_file == from_flags
+        assert from_flags[0] == 0 and from_flags[2]
+
+    @pytest.mark.parametrize("case", sorted(OPTIONS))
+    def test_flags_override_file(self, workspace, capsys, case):
+        command, inputs, options = OPTIONS[case]
+        (workspace / "all.cfg").write_text("".join(f"{key}={value}\n" for key, _, value in options))
+        key, flag, _ = options[0]  # an int option: n, c, k or d
+        code, text, _ = run(capsys, command, *inputs, "--config", "all.cfg", flag, "2")
+        header = text.splitlines() + [line[2:] for path in workspace.glob("[ost].csv")
+                                      for line in parse_csv(path)[0]]
+        assert code == 0
+        assert {line for line in header if line.startswith(f"{key}=")} == {f"{key}=2"}
+
+    @pytest.mark.parametrize("command,inputs,key", [
+        ("build", ["data.fvecs"], "dataset"),
+        ("search", ["soar.soar", "queries.fvecs"], "index"),
+        ("search", ["soar.soar", "queries.fvecs"], "queries"),
+        ("diagnose", ["soar.soar", "queries.fvecs"], "gt"),
+        ("diagnose", ["soar.soar", "queries.fvecs"], "dataset"),
+        *[("bench", ["--index", "soar.soar", "--queries", "queries.fvecs", "--exact"], key)
+          for key in ("gt", "dataset", "index", "queries", "exact")],
+    ])
+    def test_inputs_are_not_config_keys(self, workspace, capsys, command, inputs, key):
+        (workspace / "in.cfg").write_text(f"{key}=data.fvecs\n")
+        code, _, err = run(capsys, command, *inputs, "--out", "o.csv", "--config", "in.cfg")
+        assert code == 1
+        assert f"unknown config key {key!r} for {command}" in err
+        assert not list(workspace.glob("o.*"))
 
 
 class TestMain:
@@ -423,6 +532,11 @@ class TestMain:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert main(["build", "--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["synth", "build", "search", "bench", "diagnose", "verify"])
+    def test_command_help(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert f"usage: soar {command}" in capsys.readouterr().out
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -167,10 +167,16 @@ class TestSearch:
     def test_rerank_below_one_rejected(self, small_data, indices, rerank):
         _, Q = small_data
         for idx in indices.values():
-            for params in (SearchParams(k=5, probes=3, rerank=rerank),
-                           SearchParams(k=5, budget=0, rerank=rerank)):
+            for scan in ({"probes": 3}, {"budget": 0}):
                 with pytest.raises(ValueError, match="rerank must be at least 1"):
-                    search(idx, Q[0], params)
+                    search(idx, Q[0], SearchParams(k=5, rerank=rerank, **scan))
+
+    @pytest.mark.parametrize("field,value,message", [("probes", 0, "probes must be at least 1"),
+                                                     ("rerank", 0, "rerank must be at least 1"),
+                                                     ("budget", -1, "budget must be non-negative")])
+    def test_params_checked_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SearchParams(k=5, **{field: value})
 
     def test_default_rerank(self):
         assert SearchParams(k=3).resolved_rerank() == 100
