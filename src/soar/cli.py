@@ -16,6 +16,7 @@ exception: the mean_query_latency_ms column of bench is wall-clock time.
 
 import argparse
 import csv
+import functools
 import io
 import sys
 import time
@@ -59,6 +60,12 @@ def _float_list(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     return values
+
+
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -440,21 +447,24 @@ def cmd_verify(args) -> int:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and the subcommand parsers by name; a required option defaults to _REQUIRED."""
-    parser = argparse.ArgumentParser(prog="soar", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="soar", description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     subs = parser.add_subparsers(dest="command")
+    # a flag matches only its full name, never a prefix of it
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    p = subs.add_parser("synth", help="generate a Gaussian-mixture fvecs dataset")
+    p = add_parser("synth", help="generate a Gaussian-mixture fvecs dataset")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--d", type=int, default=16)
     p.add_argument("--clusters", type=int, default=10)
     p.add_argument("--sigma", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=_REQUIRED)
+    p.add_argument("--out", type=_out_path, default=_REQUIRED)
     p.set_defaults(func=cmd_synth)
 
-    p = subs.add_parser("build", help="build a .soar index from an fvecs dataset")
+    p = add_parser("build", help="build a .soar index from an fvecs dataset")
     p.add_argument("dataset")
-    p.add_argument("--out", default=_REQUIRED)
+    p.add_argument("--out", type=_out_path, default=_REQUIRED)
     p.add_argument("--c", type=int, help="partitions; default is n / 400")
     p.add_argument("--policy", choices=index_mod.POLICIES, default="soar")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
@@ -463,17 +473,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--max-iters", dest="max_iters", type=int, default=25)
     p.set_defaults(func=cmd_build)
 
-    p = subs.add_parser("search", help="run queries against an index, emit result rows")
+    p = add_parser("search", help="run queries against an index, emit result rows")
     p.add_argument("index")
     p.add_argument("queries")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--probes", type=int)
     p.add_argument("--rerank", type=int)
     p.add_argument("--budget", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_search)
 
-    p = subs.add_parser("bench", help="probe sweep and scan-cost targets across indices")
+    p = add_parser("bench", help="probe sweep and scan-cost targets across indices")
     p.add_argument("--index", nargs="+", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--gt", help="ivecs ground truth")
@@ -482,21 +492,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--probes", type=_int_list, default=[1, 2, 4, 8, 16, 32, 64])
     p.add_argument("--rerank", type=int)
-    p.add_argument("--out", default=_REQUIRED)
-    p.add_argument("--targets-out", dest="targets_out")
+    p.add_argument("--out", type=_out_path, default=_REQUIRED)
+    p.add_argument("--targets-out", dest="targets_out", type=_out_path)
     p.set_defaults(func=cmd_bench)
 
-    p = subs.add_parser("diagnose", help="per-neighbor residual angle and rank records")
+    p = add_parser("diagnose", help="per-neighbor residual angle and rank records")
     p.add_argument("index")
     p.add_argument("queries")
     p.add_argument("--gt", help="ivecs ground truth")
     p.add_argument("--dataset", help="fvecs dataset; ground truth is cached beside it")
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--out", default=_REQUIRED)
-    p.add_argument("--summary-out", dest="summary_out")
+    p.add_argument("--out", type=_out_path, default=_REQUIRED)
+    p.add_argument("--summary-out", dest="summary_out", type=_out_path)
     p.set_defaults(func=cmd_diagnose)
 
-    p = subs.add_parser("verify", help="Monte Carlo checks of the spill objective")
+    p = add_parser("verify", help="Monte Carlo checks of the spill objective")
     p.add_argument("--d", type=int, default=32)
     p.add_argument("--lambdas", type=_float_list, default=[0.0, 1.0, 2.0])
     p.add_argument("--samples", type=int, default=1_000_000)
@@ -504,7 +514,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--theorem-tol", dest="theorem_tol", type=float, default=0.02)
     p.add_argument("--lemma-tol", dest="lemma_tol", type=float, default=0.005)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     p.set_defaults(func=cmd_verify)
 
     for p in subs.choices.values():

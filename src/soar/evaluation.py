@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Neighbor, batch_inner_products
+from .core import Dataset, Neighbor
 from .vq import assign_spilled_soar, soar_loss
 
 __all__ = [

@@ -6,10 +6,11 @@ train a product quantizer on the primary residuals, and encode one posting
 entry per (point, partition) membership. Spilled entries encode the
 residual against the partition that holds them, with the same quantizer.
 
-In memory the postings are one CSR ("compressed sparse row") table sorted
-by (partition, id): `offsets` (c+1,) int64, `ids` (E,) uint32 and `codes`
-(E, code_bytes) uint8, where partition p holds rows offsets[p]:offsets[p+1]
-and E is n, or 2n for the spilled policies.
+In memory the postings are one CSR ("compressed sparse row") table:
+`offsets` (c+1,) int64, `ids` (E,) uint32 and `codes` (E, code_bytes)
+uint8, where partition p holds rows offsets[p]:offsets[p+1] and E is n, or
+2n for the spilled policies. Each partition's rows are its primaries, then
+its spills, ids ascending within each run.
 
 Search: rank partitions by query-center inner product, gather the rows of
 the top `probes` partitions and score them with table-based approximate
@@ -18,27 +19,27 @@ entries scoring at least the (entries per id x `rerank`)-th best, dedup the
 pool by id keeping the best approximate score, rerank the best `rerank`
 candidates with exact float32 scores, return the top k. The pool only
 drops entries that cannot reach the top `rerank`, so results equal those
-of deduplicating every scanned entry.
+of deduplicating every scanned entry, and none of it depends on the row
+order within a partition.
 
-On-disk format (".soar", little-endian throughout):
+On-disk format (".soar", little-endian throughout), the CSR table as is:
 
-    header   magic "SOAR", u16 version=1, u8 policy, u8 reserved,
+    header   magic "SOAR", u16 version=2, u8 policy, u8 reserved,
              u64 n, u32 d, u32 c, u32 s, u32 m, u32 code_bytes,
              f64 lambda, i64 seed                      (52 bytes, fixed)
     codebook        c * d float32
     pq codebook     m * 16 * s float32
-    posting lists   per partition, ascending partition id:
-                    u32 partition id, u32 length,
-                    then length entries of (u32 datapoint id, code bytes);
-                    that is, the CSR rows with a head before each partition
+    posting counts  c * (u32 primaries, u32 spills), ascending partition id
+    posting ids     E u32, the CSR `ids`
+    posting codes   E * code_bytes u8, the CSR `codes`
     full store      n * d float32
 
-The assignment table is not stored. A loaded index derives it on first
-access of `SoarIndex.assignment`, so loading and serving never compute it:
-primary assignments are recomputed from the codebook (deterministic given
-the stored float32 data) and spilled assignments are the other partition in
-which an id appears. That keeps the file delta between a spilled and an
-unspilled build exactly n * (4 + code_bytes) bytes, with an identical header.
+The counts give `offsets` and say which rows are primaries, so load reads
+the assignment table from the postings: an id's primary partition is the
+one holding it in a primary run, its spill the one holding it in a spill
+run. A spilled build's file is exactly n * (4 + code_bytes) bytes larger
+than an unspilled one, with an identical header. Version 1 files are
+rejected and must be rebuilt.
 """
 
 import math
@@ -77,7 +78,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SOAR"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sHBBQIIIIIdq")
 HEADER_BYTES = _HEADER.size  # 52
 _POLICY_CODE = {"none": 0, "naive": 1, "soar": 2}
@@ -126,11 +127,8 @@ class SearchResult:
 
 
 class SoarIndex:
-    """Built index: codebook, CSR postings, quantizer, and the raw datapoints.
-
-    assignment may be left out; it is then derived from the postings on
-    first access (see the module docstring).
-    """
+    """Built index: codebook, CSR postings, quantizer, the raw datapoints,
+    and the assignment table the postings were laid out from."""
 
     def __init__(
         self,
@@ -143,7 +141,7 @@ class SoarIndex:
         policy: str,
         lam: float,
         seed: int,
-        assignment: AssignmentTable | None = None,
+        assignment: AssignmentTable,
     ):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
@@ -155,16 +153,10 @@ class SoarIndex:
         self.ids = ids
         self.codes = codes
         self.full_store = full_store
-        self._assignment = assignment
+        self.assignment = assignment
         self.policy = policy
         self.lam = float(lam)
         self.seed = int(seed)
-
-    @property
-    def assignment(self) -> AssignmentTable:
-        if self._assignment is None:
-            self._assignment = _derive_assignment(self)
-        return self._assignment
 
     @property
     def n(self) -> int:
@@ -186,7 +178,8 @@ def _build_postings(
     X64: np.ndarray, codebook: Codebook, pq_book: PQCodebook, assignment: AssignmentTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One posting entry per membership, each encoding the residual against
-    the partition that holds it: the CSR (offsets, ids, codes) table."""
+    the partition that holds it: the CSR (offsets, ids, codes) table, each
+    partition's primaries first, then its spills, ids ascending in each run."""
     centers = codebook.centers.astype(np.float64)
     memberships = [assignment.primary]
     if assignment.spilled is not None:
@@ -194,7 +187,9 @@ def _build_postings(
     parts = np.concatenate(memberships).astype(np.int64)
     ids = np.tile(np.arange(X64.shape[0], dtype=np.uint32), len(memberships))
     codes = np.concatenate([pq_encode_batch(X64 - centers[p], pq_book) for p in memberships])
-    order = np.lexsort((ids, parts))
+    # the entries are already in (primary before spill, id) order, which a
+    # stable sort by partition keeps within each partition
+    order = np.argsort(parts, kind="stable")
     offsets = np.searchsorted(parts[order], np.arange(codebook.c + 1)).astype(np.int64)
     return offsets, ids[order], codes[order]
 
@@ -270,7 +265,8 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     scanned = int(lengths.sum())
     if scanned == 0:
         return SearchResult(neighbors=[], datapoints_scanned=0)
-    # the probed rows in scan order: partition by partition, ids ascending
+    # the probed rows in scan order: partition by partition, each one's
+    # primaries then its spills
     rows = np.arange(scanned) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     codes = np.take(index.codes, rows, axis=0)  # about 10x faster here than codes[rows]
     approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
@@ -322,75 +318,27 @@ def serialize(index: SoarIndex) -> bytes:
     out = bytearray(header)
     out += index.codebook.centers.astype("<f4").tobytes()
     out += book.centers.astype("<f4").tobytes()
-    entry_bytes = 4 + book.code_bytes
-    entries = np.empty((index.ids.shape[0], entry_bytes), dtype=np.uint8)
-    entries[:, :4] = index.ids.astype("<u4")[:, None].view(np.uint8)
-    entries[:, 4:] = index.codes
-    heads = np.stack([np.arange(index.c), index.posting_sizes()], axis=1).astype("<u4")
-    is_entry = _entry_bytes_mask(index.offsets, entry_bytes)
-    section = np.empty(is_entry.shape[0], dtype=np.uint8)
-    section[is_entry] = entries.ravel()
-    section[~is_entry] = heads.view(np.uint8).ravel()
-    out += section.tobytes()
+    primaries = np.bincount(index.assignment.primary, minlength=index.c)
+    counts = np.stack([primaries, index.posting_sizes() - primaries], axis=1)
+    out += counts.astype("<u4").tobytes()
+    out += index.ids.astype("<u4").tobytes()
+    out += index.codes.tobytes()
     out += index.full_store.data.astype("<f4").tobytes()
     return bytes(out)
 
 
-def _entry_bytes_mask(offsets: np.ndarray, entry_bytes: int) -> np.ndarray:
-    """The posting-list section's layout: a mask over its bytes that is
-    False on the 8-byte head (u32 partition id, u32 length) before each
-    partition and True on the entries that follow it."""
-    c = offsets.shape[0] - 1
-    heads = 8 * np.arange(c) + entry_bytes * offsets[:-1]
-    is_entry = np.ones(8 * c + entry_bytes * int(offsets[-1]), dtype=bool)
-    is_entry[(heads[:, None] + np.arange(8)).ravel()] = False
-    return is_entry
-
-
 class _Cursor:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)  # sections are sliced without a copy
         self.pos = 0
 
-    def skip(self, count: int, section: str) -> int:
-        """Step past the next count bytes, checking they exist; returns
-        where they start."""
+    def take(self, count: int, section: str) -> memoryview:
+        """The next count bytes, checking they exist."""
         if self.pos + count > len(self.data):
             raise IndexFormatError(section, f"truncated: wanted {count} bytes, "
                                             f"{len(self.data) - self.pos} left")
-        start = self.pos
         self.pos += count
-        return start
-
-    def take(self, count: int, section: str) -> bytes:
-        start = self.skip(count, section)
-        return self.data[start : self.pos]
-
-
-def _derive_assignment(index: SoarIndex) -> AssignmentTable:
-    """Rebuild the assignment table from the postings plus the codebook.
-
-    The partition an id appears in is its primary for single-assignment
-    indices. For spilled indices the primary is recomputed (deterministic
-    nearest-center over the stored float32 data) and the other occurrence
-    is the spill. Should recomputation ever disagree with the stored
-    occurrences, the lower-partition occurrence is treated as primary.
-    """
-    parts = np.repeat(np.arange(index.c, dtype=np.int64), index.posting_sizes())
-    # each id's partitions, ascending, because rows are sorted by partition
-    by_id = parts[np.argsort(index.ids, kind="stable")]
-    if index.policy == "none":
-        return AssignmentTable(primary=by_id.astype(np.int32), spilled=None, policy="none")
-    first, second = by_id[0::2], by_id[1::2]
-    computed = assign_primary(index.full_store, index.codebook).primary.astype(np.int64)
-    primary = np.where(computed == second, second, first)
-    spilled = np.where(computed == second, first, second)
-    return AssignmentTable(
-        primary=primary.astype(np.int32),
-        spilled=spilled.astype(np.int32),
-        policy=index.policy,
-        lam=index.lam if index.policy == "soar" else None,
-    )
+        return self.data[self.pos - count : self.pos]
 
 
 def deserialize(data: bytes) -> SoarIndex:
@@ -411,6 +359,9 @@ def deserialize(data: bytes) -> SoarIndex:
         raise IndexFormatError("header", f"m={m} inconsistent with d={d}, s={s}")
     if code_bytes != (m + 1) // 2:
         raise IndexFormatError("header", f"code_bytes={code_bytes} inconsistent with m={m}")
+    # what build writes: a finite lambda >= 0 for soar, 0 for the other policies
+    if not (math.isfinite(lam) and lam >= 0 if policy == "soar" else lam == 0):
+        raise IndexFormatError("header", f"lambda {lam!r} invalid for policy {policy!r}")
 
     def read_f32(section: str, shape: tuple, make):
         """make(array) from the next float32 section, shaped; a ValueError
@@ -426,48 +377,49 @@ def deserialize(data: bytes) -> SoarIndex:
     codebook = read_f32("codebook", (c, d), Codebook)
     pq_book = read_f32("pq codebook", (m, 16, s), lambda arr: PQCodebook(arr, d=d))
 
-    # The heads must be walked in order: each length says where the next
-    # head sits. The entries are only bounds-checked here, then cut out at once.
-    entry_bytes = 4 + code_bytes
-    section_start = cur.pos
-    sizes = np.empty(c, dtype=np.int64)
-    for p in range(c):
-        pid, length = struct.unpack_from("<II", data, cur.skip(8, "posting lists"))
-        if pid != p:
-            raise IndexFormatError("posting lists", f"expected partition {p}, found {pid}")
-        if length > n:
-            raise IndexFormatError("posting lists", f"partition {p} length {length} exceeds n={n}")
-        cur.skip(entry_bytes * length, "posting lists")
-        sizes[p] = length
+    # The counts fix the lengths of the ids and codes, so they are checked first.
+    counts = np.frombuffer(cur.take(8 * c, "posting lists"), dtype="<u4").reshape(c, 2)
+    found = counts.sum(axis=0, dtype=np.int64).tolist()
+    expected = [n, 0 if policy == "none" else n]
+    if found != expected:
+        raise IndexFormatError("posting lists", f"counts sum to {found[0]} primaries and {found[1]} "
+                                                f"spills, expected {expected[0]} and {expected[1]}")
     offsets = np.zeros(c + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    section = np.frombuffer(data, np.uint8, count=cur.pos - section_start, offset=section_start)
-    entries = section[_entry_bytes_mask(offsets, entry_bytes)].reshape(-1, entry_bytes)
-    ids = entries[:, :4].copy().view("<u4").ravel()
-    codes = entries[:, 4:].copy()
-    parts = np.repeat(np.arange(c), sizes)
+    np.cumsum(counts.sum(axis=1, dtype=np.int64), out=offsets[1:])
+    total = int(offsets[-1])
+    # copies, so the loaded index does not keep the file's bytes alive
+    ids = np.frombuffer(cur.take(4 * total, "posting lists"), dtype="<u4").astype(np.uint32)
+    codes = np.frombuffer(cur.take(code_bytes * total, "posting lists"), dtype=np.uint8)
+    codes = codes.reshape(total, code_bytes).copy()
+    # run r is partition r // 2's primaries (r even) or spills (r odd)
+    runs = np.repeat(np.arange(2 * c), counts.ravel())
     out_of_range = ids >= n
     if out_of_range.any():
-        p = parts[np.argmax(out_of_range)]
+        p = runs[np.argmax(out_of_range)] // 2
         raise IndexFormatError("posting lists", f"partition {p} id out of range")
-    unordered = (np.diff(ids.astype(np.int64)) <= 0) & (parts[1:] == parts[:-1])
+    unordered = (ids[1:] <= ids[:-1]) & (runs[1:] == runs[:-1])
     if unordered.any():
-        p = parts[np.argmax(unordered) + 1]
+        p = runs[np.argmax(unordered) + 1] // 2
         raise IndexFormatError("posting lists", f"partition {p} ids not strictly increasing")
-    total = int(offsets[-1])
-    expected_total = n if policy == "none" else 2 * n
-    if total != expected_total:
-        raise IndexFormatError(
-            "posting lists", f"{total} entries for policy {policy!r}, expected {expected_total}"
-        )
+
+    def partitions_of(role: int, name: str) -> np.ndarray:
+        """Each id's partition among the runs of one role. The runs hold n
+        ids in range, so an id missing means another one repeated."""
+        part = np.full(n, -1, dtype=np.int32)
+        rows = runs % 2 == role
+        part[ids[rows]] = runs[rows] // 2
+        if np.any(part < 0):
+            raise IndexFormatError("posting lists", f"each id must have exactly one {name} entry")
+        return part
+
+    primary = partitions_of(0, "primary")
+    spilled = None if policy == "none" else partitions_of(1, "spill")
+    if spilled is not None and np.any(spilled == primary):
+        raise IndexFormatError("posting lists", "an id's primary and spill share a partition")
 
     full_store = read_f32("full store", (n, d), Dataset)
     if cur.pos != len(data):
         raise IndexFormatError("full store", f"{len(data) - cur.pos} trailing bytes")
-
-    want = 1 if policy == "none" else 2
-    if not np.all(np.bincount(ids, minlength=n) == want):
-        raise IndexFormatError("posting lists", f"each id must appear exactly {want} time(s)")
 
     return SoarIndex(
         codebook=codebook,
@@ -479,6 +431,7 @@ def deserialize(data: bytes) -> SoarIndex:
         policy=policy,
         lam=lam,
         seed=seed,
+        assignment=AssignmentTable(primary, spilled, policy, lam if policy == "soar" else None),
     )
 
 

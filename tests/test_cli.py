@@ -543,3 +543,36 @@ class TestMain:
 
     def test_bad_flag_value(self, capsys):
         assert main(["synth", "--n", "many", "--out", "x"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "data.fvecs", "--out", "o.soar", "--pol", "none", "--lam", "2"],
+        ["bench", "--index", "soar.soar", "--queries", "queries.fvecs", "--exact", "--out", "o.csv",
+         "--targets", "t.csv"],
+    ])
+    def test_flag_prefix_is_not_the_flag(self, workspace, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not list(workspace.glob("[ot].*"))
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,inputs,key,flag", [
+        ("synth", [], "out", "--out"),
+        ("build", ["data.fvecs"], "out", "--out"),
+        ("search", ["soar.soar", "queries.fvecs"], "out", "--out"),
+        ("bench", ["--index", "soar.soar", "--queries", "queries.fvecs", "--exact", "--out", "o.csv"],
+         "targets_out", "--targets-out"),
+        ("diagnose", ["soar.soar", "queries.fvecs", "--out", "o.csv"], "summary_out", "--summary-out"),
+        ("verify", ["--samples", "100000", "--pairs", "1"], "out", "--out"),
+    ])
+    def test_empty_output_path(self, workspace, capsys, command, inputs, key, flag, source):
+        if source == "flag":
+            extra = [flag, ""]
+        else:
+            (workspace / "e.cfg").write_text(f"{key}=\n")
+            extra = ["--config", "e.cfg"]
+        code, out, err = run(capsys, command, *inputs, *extra)
+        assert code == 1
+        assert f"argument {flag}: expected a file path, got an empty string" in err
+        assert out == ""
+        assert not list(workspace.glob("o.*"))

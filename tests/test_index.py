@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -256,10 +258,19 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match="header"):
             deserialize(bytes(blob))
 
-    def test_bad_version(self, indices):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_bad_version(self, indices, version):
         blob = bytearray(serialize(indices["none"]))
-        blob[4] = 99
-        with pytest.raises(IndexFormatError, match="version"):
+        blob[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(IndexFormatError, match=f"header: unsupported version {version}"):
+            deserialize(bytes(blob))
+
+    @pytest.mark.parametrize("policy,lam", [("soar", -1.0), ("soar", float("nan")),
+                                            ("soar", float("inf")), ("none", 2.0)])
+    def test_bad_lambda(self, indices, policy, lam):
+        blob = bytearray(serialize(indices[policy]))
+        blob[36:44] = struct.pack("<d", lam)  # after magic, version, policy, reserved and six sizes
+        with pytest.raises(IndexFormatError, match="header: lambda"):
             deserialize(bytes(blob))
 
     def test_truncated_postings(self, indices):
@@ -271,7 +282,7 @@ class TestSerialization:
     def test_corrupt_length_field(self, indices):
         idx = indices["none"]
         blob = bytearray(serialize(idx))
-        # first posting list length field sits right after the fixed sections
+        # partition 0's spill count, in the counts block right after the fixed sections
         off = HEADER_BYTES + 4 * idx.c * idx.d + 4 * idx.pq_book.centers.size + 4
         np_len = int.from_bytes(blob[off : off + 4], "little")
         blob[off : off + 4] = (np_len + 7).to_bytes(4, "little")
@@ -293,9 +304,9 @@ class TestSerialization:
             pytest.fail("expected IndexFormatError")
 
 
-class TestLazyAssignment:
+class TestLoadReadsAssignment:
     @pytest.mark.parametrize("policy", ["none", "naive", "soar"])
-    def test_load_defers_and_matches_build(self, indices, tmp_path, monkeypatch, policy):
+    def test_load_reads_built_table(self, indices, tmp_path, monkeypatch, policy):
         import soar.index
 
         idx = indices[policy]
@@ -309,18 +320,73 @@ class TestLazyAssignment:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(soar.index, "assign_primary", counted)
-        out = load(path)
+        out = load(path).assignment
         assert calls == []
-        derived = out.assignment
-        assert len(calls) == (0 if policy == "none" else 1)
-        assert out.assignment is derived
         built = idx.assignment
-        assert (derived.policy, derived.lam) == (built.policy, built.lam)
-        np.testing.assert_array_equal(derived.primary, built.primary)
+        assert (out.policy, out.lam) == (built.policy, built.lam)
+        np.testing.assert_array_equal(out.primary, built.primary)
         if policy == "none":
-            assert derived.spilled is None and built.spilled is None
+            assert out.spilled is None and built.spilled is None
         else:
-            np.testing.assert_array_equal(derived.spilled, built.spilled)
+            np.testing.assert_array_equal(out.spilled, built.spilled)
+
+    def test_rows_primaries_first(self, indices):
+        for idx in indices.values():
+            for p in range(idx.c):
+                ids = idx.ids[idx.offsets[p] : idx.offsets[p + 1]]
+                primaries = np.sort(np.flatnonzero(idx.assignment.primary == p))
+                np.testing.assert_array_equal(ids[: primaries.size], primaries)
+
+
+class TestCraftedPostings:
+    """Blobs that are well formed except for one posting-section fault."""
+
+    @staticmethod
+    def sections(idx):
+        """The serialized index as a bytearray, with the byte offsets of its
+        counts block and its ids."""
+        blob = bytearray(serialize(idx))
+        counts_at = HEADER_BYTES + 4 * idx.c * idx.d + 4 * idx.pq_book.centers.size
+        return blob, counts_at, counts_at + 8 * idx.c
+
+    def test_counts_not_summing_to_n(self, indices):
+        idx = indices["soar"]
+        blob, counts_at, _ = self.sections(idx)
+        # move one row from partition 0's primaries to its spills: sizes and length unchanged
+        counts = np.frombuffer(blob, "<u4", 2, counts_at).copy()
+        assert counts[0] > 0
+        blob[counts_at : counts_at + 8] = (counts + [-1, 1]).astype("<u4").tobytes()
+        with pytest.raises(IndexFormatError, match="posting lists: counts sum to"):
+            deserialize(bytes(blob))
+
+    def test_primary_and_spill_in_one_partition(self, indices):
+        idx = indices["soar"]
+        blob, counts_at, ids_at = self.sections(idx)
+        counts = np.frombuffer(blob, "<u4", 2 * idx.c, counts_at).reshape(idx.c, 2)
+        spill_runs = [slice(idx.offsets[p] + counts[p, 0], idx.offsets[p + 1]) for p in range(idx.c)]
+        # swap the spill entries of u (primary p, spill q) and of v (spill p),
+        # keeping both spill runs sorted: u then spills into its own primary
+        u = int(np.flatnonzero(counts[idx.assignment.primary, 1] > 0)[0])
+        p, q = idx.assignment.primary[u], idx.assignment.spilled[u]
+        ids = idx.ids.copy()
+        v = ids[spill_runs[p]][0]
+        for run, old, new in ((spill_runs[q], u, v), (spill_runs[p], v, u)):
+            run_ids = ids[run].copy()
+            run_ids[run_ids == old] = new
+            ids[run] = np.sort(run_ids)
+        blob[ids_at : ids_at + 4 * ids.size] = ids.astype("<u4").tobytes()
+        with pytest.raises(IndexFormatError, match="posting lists: an id's primary and spill share"):
+            deserialize(bytes(blob))
+
+    def test_ids_out_of_order_in_a_run(self, indices):
+        idx = indices["soar"]
+        blob, counts_at, ids_at = self.sections(idx)
+        assert np.frombuffer(blob, "<u4", 1, counts_at)[0] >= 2
+        ids = idx.ids.copy()
+        ids[[0, 1]] = ids[[1, 0]]  # the first two primaries of partition 0
+        blob[ids_at : ids_at + 4 * ids.size] = ids.astype("<u4").tobytes()
+        with pytest.raises(IndexFormatError, match="posting lists: partition 0 ids not strictly"):
+            deserialize(bytes(blob))
 
 
 class TestEmptyPartitions:
