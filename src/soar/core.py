@@ -16,6 +16,7 @@ __all__ = [
     "Neighbor",
     "inner_product",
     "batch_inner_products",
+    "top_positions",
     "brute_force_mips",
     "rank",
     "residual",
@@ -93,11 +94,20 @@ def batch_inner_products(q, rows: np.ndarray) -> np.ndarray:
     return (mat @ qv).astype(np.float32)
 
 
-def top_ids_by_score(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, score descending, ties by ascending id."""
-    ids = np.arange(scores.shape[0])
-    order = np.lexsort((ids, -scores.astype(np.float64)))
-    return order[:k]
+def top_positions(scores: np.ndarray, count: int, tiebreak: np.ndarray | None = None) -> np.ndarray:
+    """The first `count` positions of np.lexsort((tiebreak, -scores)): score
+    descending, ties by ascending tiebreak (the position when None).
+
+    Selects instead of sorting: every entry scoring at least the count-th
+    best is kept (np.partition, ties at the cut included) and only those are
+    lexsorted, so the answer is the full sort's prefix. count >= 1.
+    """
+    size = scores.shape[0]
+    if count >= size:
+        return np.lexsort((np.arange(size) if tiebreak is None else tiebreak, -scores))
+    kept = np.flatnonzero(scores >= np.partition(scores, size - count)[size - count])
+    keys = kept if tiebreak is None else tiebreak[kept]
+    return kept[np.lexsort((keys, -scores[kept]))[:count]]
 
 
 def brute_force_mips(q, X: Dataset, k: int) -> list[Neighbor]:
@@ -105,8 +115,8 @@ def brute_force_mips(q, X: Dataset, k: int) -> list[Neighbor]:
     if not 1 <= k <= X.n:
         raise ValueError(f"k={k} outside [1, {X.n}]")
     scores = batch_inner_products(q, X.data)
-    top = top_ids_by_score(scores, k)
-    return [Neighbor(int(i), float(scores[i])) for i in top]
+    top = top_positions(scores, k)
+    return list(map(Neighbor, top.tolist(), scores[top].tolist()))
 
 
 def rank(q, v, X: Dataset) -> int:

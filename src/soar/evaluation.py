@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Neighbor
+from .core import Dataset, Neighbor, top_positions
 from .vq import assign_spilled_soar, soar_loss
 
 __all__ = [
@@ -62,21 +62,6 @@ def recall_at_k(results: list, truth, k: int) -> float:
     return len(result_ids & truth_ids) / k
 
 
-def _top_k_ids(scores: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-k ids by (score desc, id asc) without a full sort."""
-    n = scores.shape[0]
-    if k >= n:
-        subset = np.arange(n)
-    else:
-        part = np.argpartition(-scores, k - 1)[:k]
-        kth = scores[part].min()
-        above = np.flatnonzero(scores > kth)
-        ties = np.flatnonzero(scores == kth)
-        subset = np.concatenate([above, ties[: k - above.size]])
-    order = np.lexsort((subset, -scores[subset].astype(np.float64)))
-    return subset[order][:k]
-
-
 def ground_truth_ids(Q: Dataset, X: Dataset, k: int, chunk: int = 64) -> np.ndarray:
     """(|Q|, k) int64 matrix of exact MIPS neighbors, row-equal to
     brute_force_mips on each query."""
@@ -90,7 +75,7 @@ def ground_truth_ids(Q: Dataset, X: Dataset, k: int, chunk: int = 64) -> np.ndar
         hi = min(lo + chunk, Q.n)
         scores = (Q.data[lo:hi].astype(np.float64) @ xt).astype(np.float32)
         for i in range(hi - lo):
-            out[lo + i] = _top_k_ids(scores[i], k)
+            out[lo + i] = top_positions(scores[i], k)
     return out
 
 

@@ -14,13 +14,15 @@ its spills, ids ascending within each run.
 
 Search: rank partitions by query-center inner product, gather the rows of
 the top `probes` partitions and score them with table-based approximate
-scores (one lookup per code byte, see `pq.score_codes`), keep the pool of
-entries scoring at least the (entries per id x `rerank`)-th best, dedup the
-pool by id keeping the best approximate score, rerank the best `rerank`
-candidates with exact float32 scores, return the top k. The pool only
-drops entries that cannot reach the top `rerank`, so results equal those
-of deduplicating every scanned entry, and none of it depends on the row
-order within a partition.
+scores (one lookup per code byte, see `pq.score_codes`); when an id can
+have two entries (a spilled policy), keep the pool of entries scoring at
+least the (2 x `rerank`)-th best and dedup it by id keeping the best
+approximate score; rerank the best `rerank` candidates with exact float32
+scores, return the top k. The probe, rerank and k cuts each select with
+`core.top_positions` (ties by partition id or datapoint id) instead of
+sorting everything. The pool only drops entries that cannot reach the top
+`rerank`, so results equal those of deduplicating every scanned entry,
+and none of it depends on the row order within a partition.
 
 On-disk format (".soar", little-endian throughout), the CSR table as is:
 
@@ -50,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Neighbor, batch_inner_products
+from .core import Dataset, Neighbor, batch_inner_products, top_positions
 from .pq import PQCodebook, pq_encode_batch, score_codes, scoring_table, train_pq
 from .vq import (
     AssignmentTable,
@@ -100,7 +102,8 @@ class SearchParams:
     budget, when set, overrides probes: whole partitions are scanned in rank
     order until the next one would push the scanned-datapoint count past the
     budget. rerank defaults to max(10 * k, 100). Construction raises
-    ValueError for probes or rerank below 1 and for a negative budget.
+    ValueError for k, probes or rerank below 1 and for a negative budget;
+    k above the index size is caught by search.
     """
 
     k: int
@@ -109,6 +112,8 @@ class SearchParams:
     budget: int | None = None
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
         if self.probes is not None and self.probes < 1:
             raise ValueError("probes must be at least 1")
         if self.rerank is not None and self.rerank < 1:
@@ -148,6 +153,7 @@ class SoarIndex:
         if offsets.shape != (codebook.c + 1,) or not offsets[-1] == ids.shape[0] == codes.shape[0]:
             raise ValueError("posting table does not match partition count")
         self.codebook = codebook
+        self.centers64 = codebook.centers.astype(np.float64)  # cast once, not per query
         self.pq_book = pq_book
         self.offsets = offsets
         self.ids = ids
@@ -254,9 +260,11 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     if not np.all(np.isfinite(qv)):
         raise ValueError("query contains NaN or Inf")
     rerank = params.resolved_rerank()
-    centers = index.codebook.centers.astype(np.float64)
-    center_scores = (centers @ qv).astype(np.float32)
-    order = np.lexsort((np.arange(index.c), -center_scores))
+    center_scores = (index.centers64 @ qv).astype(np.float32)
+    # the budget walks partitions in rank order until it runs out, so it
+    # needs them all ranked; probes needs only the best `probes`
+    ranked = index.c if params.budget is not None or params.probes is None else params.probes
+    order = top_positions(center_scores, ranked)
     scan = _partitions_to_scan(index, order, params)
 
     table = scoring_table(qv, index.pq_book)
@@ -272,29 +280,32 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
         table, codes, index.pq_book.m
     )
-    pool = index.ids.shape[0] // index.n * rerank  # entries per id (1, or 2 spilled) x rerank
-    if pool < scanned:
-        # Keep every entry scoring at least the pool-th best, ties included.
-        # The kept entries cover at least `rerank` distinct ids, and an id
-        # with any entry kept has its best entry kept, so no id left out can
-        # reach the top `rerank`: dedup and top-R over the pool equal those
-        # over every scanned entry.
-        cut = scanned - pool
+    spilled = index.ids.shape[0] != index.n  # an id can have two entries
+    if spilled and 2 * rerank < scanned:
+        # Keep every entry scoring at least the (2 x rerank)-th best, ties
+        # included. The kept entries cover at least `rerank` distinct ids,
+        # and an id with any entry kept has its best entry kept, so no id
+        # left out can reach the top `rerank`: dedup and top-R over the pool
+        # equal those over every scanned entry.
+        cut = scanned - 2 * rerank
         keep = approx >= np.partition(approx, cut)[cut]
         rows, approx = rows[keep], approx[keep]
     ids = index.ids[rows].astype(np.int64)
-    # dedup: keep the best approximate score per id
-    keep = np.lexsort((-approx, ids))
-    ids, approx = ids[keep], approx[keep]
-    first = np.ones(ids.shape[0], dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    ids, approx = ids[first], approx[first]
-
-    take = np.lexsort((ids, -approx))[:rerank]
-    cand = ids[take]
+    if spilled:
+        # dedup: keep the best approximate score per id
+        keep = np.lexsort((-approx, ids))
+        ids, approx = ids[keep], approx[keep]
+        first = np.ones(ids.shape[0], dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        ids, approx = ids[first], approx[first]
+    # Without a spill there is nothing to dedup: the (score desc, id asc)
+    # keys of the next cut are unique, so its answer does not depend on the
+    # entry order. The candidates stay in that order for the exact scores:
+    # the float64 GEMV's result for a row can depend on its position.
+    cand = ids[top_positions(approx, rerank, ids)]
     exact = batch_inner_products(qv, index.full_store.data[cand])
-    top = np.lexsort((cand, -exact))[: params.k]
-    neighbors = [Neighbor(int(cand[i]), float(exact[i])) for i in top]
+    top = top_positions(exact, params.k, cand)
+    neighbors = list(map(Neighbor, cand[top].tolist(), exact[top].tolist()))
     return SearchResult(neighbors=neighbors, datapoints_scanned=scanned)
 
 

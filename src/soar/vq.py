@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, top_positions
 
 __all__ = [
     "Codebook",
@@ -235,8 +235,8 @@ def lloyd_kmeans(
         empty = np.flatnonzero(~nonempty)
         if empty.size:
             # claim the points that current centers explain worst
-            far = np.lexsort((np.arange(n), -dist))
-            for slot, idx in zip(empty, far[: empty.size]):
+            far = top_positions(dist, empty.size)
+            for slot, idx in zip(empty, far):
                 centers[slot] = points[idx]
         assign, dist = _nearest_center(points, centers, pnorm)
     return _repair_duplicate_centers(centers, points, assign, dist)

@@ -190,7 +190,7 @@ class TestSearch:
             assert got[qi] == want
 
     @pytest.mark.parametrize("flag,value", [("--probes", "0"), ("--rerank", "0"),
-                                            ("--rerank", "-1")])
+                                            ("--rerank", "-1"), ("--k", "0")])
     def test_bad_search_params(self, workspace, capsys, flag, value):
         code, _, err = run(capsys, "search", "soar.soar", "queries.fvecs", "--k", "3",
                            flag, value, "--out", "res.csv")

@@ -173,12 +173,14 @@ class TestSearch:
                 with pytest.raises(ValueError, match="rerank must be at least 1"):
                     search(idx, Q[0], SearchParams(k=5, rerank=rerank, **scan))
 
-    @pytest.mark.parametrize("field,value,message", [("probes", 0, "probes must be at least 1"),
+    @pytest.mark.parametrize("field,value,message", [("k", 0, "k must be at least 1"),
+                                                     ("k", -1, "k must be at least 1"),
+                                                     ("probes", 0, "probes must be at least 1"),
                                                      ("rerank", 0, "rerank must be at least 1"),
                                                      ("budget", -1, "budget must be non-negative")])
     def test_params_checked_when_built(self, field, value, message):
         with pytest.raises(ValueError, match=message):
-            SearchParams(k=5, **{field: value})
+            SearchParams(**{"k": 5, field: value})
 
     def test_default_rerank(self):
         assert SearchParams(k=3).resolved_rerank() == 100

@@ -1,16 +1,18 @@
 """Search against a frozen reference.
 
 The reference functions below are the original search and code scan, kept
-verbatim: they deduplicate and order every scanned entry, and index the
-lookup table by (subspace, nibble). The library scans with one lookup per
-code byte and deduplicates only the pool of entries that can reach the top
-`rerank`; every SearchResult must stay the same, bit for bit.
+verbatim: they deduplicate and fully sort every scanned entry, and index
+the lookup table by (subspace, nibble). The library scans with one lookup
+per code byte, deduplicates only the pool of entries that can reach the top
+`rerank` (and nothing when an id has one entry), and selects the probed
+partitions, the rerank candidates and the top k with `top_positions`
+instead of sorting; every SearchResult must stay the same, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from soar.core import Dataset, Neighbor, batch_inner_products
+from soar.core import Dataset, Neighbor, batch_inner_products, top_positions
 from soar.index import SearchParams, SearchResult, _partitions_to_scan, build, search
 from soar.pq import pq_encode_batch, score_codes, scoring_table, train_pq, unpack_codes
 
@@ -99,6 +101,36 @@ def test_score_codes_matches_reference_on_trained_codes():
 
 
 # ---------------------------------------------------------------------------
+# top_positions == the full lexsort's prefix
+
+
+def _selection_cases():
+    rng = np.random.default_rng(8)
+    signed_zeros = np.where(rng.random(300) < 0.5, 0.0, -0.0)
+    signed_zeros[rng.integers(300, size=40)] = rng.choice([-1.0, 1.0], size=40)
+    return {
+        "float32": (rng.standard_normal(300).astype(np.float32), None),
+        "float64": (rng.standard_normal(300), None),
+        "heavy-ties": (rng.integers(0, 4, size=300).astype(np.float32), None),
+        "signed-zeros": (signed_zeros, None),
+        "tiebreak-ids": (rng.integers(0, 6, size=300).astype(np.float64), rng.permutation(300)),
+    }
+
+
+SELECTION = _selection_cases()
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 60, 299, 300, 301])
+@pytest.mark.parametrize("case", sorted(SELECTION))
+def test_top_positions_is_the_lexsort_prefix(case, count):
+    scores, tiebreak = SELECTION[case]
+    keys = np.arange(scores.shape[0]) if tiebreak is None else tiebreak
+    want = np.lexsort((keys, -scores))[:count]
+    got = top_positions(scores, count, tiebreak)
+    assert got.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
 # search == reference
 
 
@@ -119,11 +151,27 @@ def _duplicates():
     return X, rng.standard_normal((6, 8))
 
 
+def _lattice():
+    # 150 integer rows in 8 coordinates, each copied into 4 clusters that
+    # differ only in 2 coordinates the queries zero out. Exact scores are
+    # exact integers, so they tie across rows whose codes (and approximate
+    # scores) differ. The 4 centers and each row's 4 copies score the same,
+    # so approximate scores tie across partitions, whose ids interleave:
+    # scan position and id order disagree inside the ties.
+    rng = np.random.default_rng(31)
+    A = rng.integers(-3, 4, size=(150, 8))
+    B = np.array([[30, 30], [30, -30], [-30, 30], [-30, -30]])
+    X = np.concatenate([np.repeat(A, 4, axis=0), np.tile(B, (150, 1))], axis=1)
+    Q = np.concatenate([rng.integers(-3, 4, size=(6, 8)), np.zeros((6, 2))], axis=1)
+    return X.astype(np.float32), Q.astype(np.float64)
+
+
 DATA = {
     # name: (X, Q, c, s)
     "mixture": (*_mixture(1500, 12, seed=1), 16, 2),
     "odd-m": (*_mixture(1200, 13, seed=2), 12, 2),  # m = 7: a pad nibble per code
     "duplicates": (*_duplicates(), 12, 2),
+    "lattice": (*_lattice(), 4, 2),
 }
 
 
@@ -150,22 +198,77 @@ def _rerank_values(index, k):
     return [1, k, None, index.n]
 
 
+def _grid(index):
+    """The (probes, rerank) grid of test_probe_and_rerank_grid, k = 10."""
+    k = min(10, index.n)
+    for probes in sorted({1, 2, index.c // 2, index.c}):
+        for rerank in _rerank_values(index, k):
+            yield SearchParams(k=k, probes=probes, rerank=rerank)
+
+
+def _ties_at_cuts(index, q, params) -> set:
+    """The cuts of reference_search at which equal scores fall on both
+    sides: "probes" (float32 center scores), "rerank" (deduplicated
+    approximate scores), "k" (exact scores); plus "unordered" when the
+    scanned ids of an unspilled index are not ascending overall."""
+    qv = np.asarray(q, dtype=np.float64)
+    center_scores = (index.codebook.centers.astype(np.float64) @ qv).astype(np.float32)
+    scan = _partitions_to_scan(index, np.lexsort((np.arange(index.c), -center_scores)), params)
+    lengths = index.offsets[scan + 1] - index.offsets[scan]
+    rows = np.concatenate([np.arange(index.offsets[p], index.offsets[p + 1]) for p in scan])
+    ids = index.ids[rows].astype(np.int64)
+    approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + reference_score_codes(
+        scoring_table(qv, index.pq_book), index.codes[rows], index.pq_book.m
+    )
+    found = set()
+    if index.ids.shape[0] == index.n and np.any(np.diff(ids) < 0):
+        found.add("unordered")
+    best = np.lexsort((-approx, ids))
+    first = np.ones(best.shape[0], dtype=bool)
+    first[1:] = ids[best][1:] != ids[best][:-1]
+    ids, approx = ids[best][first], approx[best][first]
+    order = np.lexsort((ids, -approx))
+    rerank = params.resolved_rerank()
+    exact = batch_inner_products(qv, index.full_store.data[ids[order][:rerank]])
+    for cut, count, scores in [("probes", params.probes, center_scores),
+                               ("rerank", rerank, approx),
+                               ("k", params.k, exact)]:
+        ranked = np.sort(scores)[::-1]
+        if count < ranked.shape[0] and ranked[count - 1] == ranked[count]:
+            found.add(cut)
+    return found
+
+
+@pytest.mark.parametrize("name,cuts", [("duplicates", {"probes", "rerank", "k", "unordered"}),
+                                       ("lattice", {"probes", "rerank", "k", "unordered"}),
+                                       ("mixture", {"unordered"})])
+def test_grid_meets_ties_at_every_cut(name, cuts):
+    # the identity tests above are only as strong as the ties they meet:
+    # each selection must see equal scores straddling its cut, and the
+    # unspilled path, which skips the dedup, ids that arrive out of order
+    X, Q, c, s = DATA[name]
+    found = set()
+    for policy in ("none", "naive", "soar"):
+        index = build(Dataset(X), c=c, policy=policy, s=s, seed=3, lam=1.0)
+        for params in _grid(index):
+            for q in Q:
+                found |= _ties_at_cuts(index, q, params)
+    assert found >= cuts
+
+
 def test_probe_and_rerank_grid(dataset):
     Q, built = dataset
     pooled = bypassed = 0
     for index in built.values():
-        mult = index.ids.shape[0] // index.n
-        k = min(10, index.n)
-        for probes in sorted({1, 2, index.c // 2, index.c}):
-            for rerank in _rerank_values(index, k):
-                params = SearchParams(k=k, probes=probes, rerank=rerank)
-                _assert_same(index, Q, params)
-                scanned = search(index, Q[0], params).datapoints_scanned
-                if mult * params.resolved_rerank() < scanned:
-                    pooled += 1
-                else:
-                    bypassed += 1
-    # both the pool and the full dedup are exercised
+        spilled = index.ids.shape[0] != index.n
+        for params in _grid(index):
+            _assert_same(index, Q, params)
+            scanned = search(index, Q[0], params).datapoints_scanned
+            if spilled and 2 * params.resolved_rerank() < scanned:
+                pooled += 1
+            elif spilled:
+                bypassed += 1
+    # under a spill, both the pool and the full dedup are exercised
     assert pooled and bypassed
 
 
