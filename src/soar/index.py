@@ -24,6 +24,18 @@ sorting everything. The pool only drops entries that cannot reach the top
 `rerank`, so results equal those of deduplicating every scanned entry,
 and none of it depends on the row order within a partition.
 
+Two-stage scan: the pool is 2 x `rerank` entries under a spill and
+`rerank` without one (where the rerank cut needs the top `rerank`
+entries). When at least _FIRST_STAGE_FROM times the pool is scanned,
+`pq.estimate_scores` first estimates every scanned entry from integer
+tables, each estimate within B of the entry's approximate score. Let q*
+be the pool-th best estimate and a* the pool-th best approximate score.
+The pool entries estimate at least q*, so they score at least q* - B,
+hence a* >= q* - B; an entry scoring at least a* then estimates at least
+a* - B >= q* - 2B. So keeping the entries that estimate at least q* - 2B
+keeps every entry that can reach the pool. Only those are scored, in scan
+order, and every later stage sees the same entries and the same bits.
+
 On-disk format (".soar", little-endian throughout), the CSR table as is:
 
     header   magic "SOAR", u16 version=2, u8 policy, u8 reserved,
@@ -53,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, Neighbor, batch_inner_products, top_positions
-from .pq import PQCodebook, pq_encode_batch, score_codes, scoring_table, train_pq
+from .pq import PQCodebook, estimate_scores, pq_encode_batch, score_codes, scoring_table, train_pq
 from .vq import (
     AssignmentTable,
     Codebook,
@@ -85,6 +97,15 @@ _HEADER = struct.Struct("<4sHBBQIIIIIdq")
 HEADER_BYTES = _HEADER.size  # 52
 _POLICY_CODE = {"none": 0, "naive": 1, "soar": 2}
 _CODE_POLICY = {v: k for k, v in _POLICY_CODE.items()}
+# search estimates every scanned entry first, and scores exactly only those
+# that can reach the pool, when it scans at least this many times the pool.
+# The first stage has a fixed cost of about 0.1 ms. Probes sweeps, two-stage
+# against one-stage time per query (one BLAS thread, 2-vCPU host): on the
+# 100k shell index (k = 10, pool 200) they break even at about 18x the pool
+# (probes 6), 0.95 at 23x, 0.72 at 102x (probes 32); on 20k policy-eval
+# shaped indices (k = 100, pool 2,000 under soar, 1,000 under none) at
+# about 4.6x and 6x, and 1.07-1.19 at probes 8 (3x).
+_FIRST_STAGE_FROM = 20
 
 
 class IndexFormatError(ValueError):
@@ -102,8 +123,9 @@ class SearchParams:
     budget, when set, overrides probes: whole partitions are scanned in rank
     order until the next one would push the scanned-datapoint count past the
     budget. rerank defaults to max(10 * k, 100). Construction raises
-    ValueError for k, probes or rerank below 1 and for a negative budget;
-    k above the index size is caught by search.
+    ValueError for k, probes or rerank below 1, for a negative budget and
+    when neither probes nor budget is set; k above the index size is caught
+    by search.
     """
 
     k: int
@@ -120,6 +142,8 @@ class SearchParams:
             raise ValueError("rerank must be at least 1")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be non-negative")
+        if self.probes is None and self.budget is None:
+            raise ValueError("need probes or budget")
 
     def resolved_rerank(self) -> int:
         return self.rerank if self.rerank is not None else max(10 * self.k, 100)
@@ -245,8 +269,6 @@ def _partitions_to_scan(index: SoarIndex, order: np.ndarray, params: SearchParam
         within = np.cumsum(sizes) <= params.budget
         stop = int(np.argmin(within)) if not within.all() else order.shape[0]
         return order[:stop]
-    if params.probes is None:
-        raise ValueError("need probes or budget")
     return order[: min(params.probes, index.c)]  # probes past c just means "all"
 
 
@@ -263,8 +285,7 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     center_scores = (index.centers64 @ qv).astype(np.float32)
     # the budget walks partitions in rank order until it runs out, so it
     # needs them all ranked; probes needs only the best `probes`
-    ranked = index.c if params.budget is not None or params.probes is None else params.probes
-    order = top_positions(center_scores, ranked)
+    order = top_positions(center_scores, index.c if params.budget is not None else params.probes)
     scan = _partitions_to_scan(index, order, params)
 
     table = scoring_table(qv, index.pq_book)
@@ -277,17 +298,24 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     # primaries then its spills
     rows = np.arange(scanned) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     codes = np.take(index.codes, rows, axis=0)  # about 10x faster here than codes[rows]
-    approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
-        table, codes, index.pq_book.m
-    )
+    base = np.repeat(center_scores[scan].astype(np.float64), lengths)
     spilled = index.ids.shape[0] != index.n  # an id can have two entries
-    if spilled and 2 * rerank < scanned:
+    pool = 2 * rerank if spilled else rerank
+    if scanned >= _FIRST_STAGE_FROM * pool:
+        # keep, in scan order, every entry whose approximate score can
+        # reach the pool (module docstring): estimate >= q* - 2 x bound
+        estimates, bound = estimate_scores(table, codes, index.pq_book.m, base)
+        cut = scanned - pool
+        keep = np.flatnonzero(estimates >= np.partition(estimates, cut)[cut] - 2 * bound)
+        rows, codes, base = rows[keep], codes[keep], base[keep]
+    approx = base + score_codes(table, codes, index.pq_book.m)
+    if spilled and pool < approx.shape[0]:
         # Keep every entry scoring at least the (2 x rerank)-th best, ties
         # included. The kept entries cover at least `rerank` distinct ids,
         # and an id with any entry kept has its best entry kept, so no id
         # left out can reach the top `rerank`: dedup and top-R over the pool
         # equal those over every scanned entry.
-        cut = scanned - 2 * rerank
+        cut = approx.shape[0] - pool
         keep = approx >= np.partition(approx, cut)[cut]
         rows, approx = rows[keep], approx[keep]
     ids = index.ids[rows].astype(np.int64)

@@ -26,6 +26,7 @@ __all__ = [
     "scoring_table",
     "pq_score",
     "score_codes",
+    "estimate_scores",
     "unpack_codes",
     "MemoryAccounting",
     "memory_accounting",
@@ -178,8 +179,14 @@ def pq_score(q, code, book: PQCodebook, table: np.ndarray | None = None) -> floa
     return float(np.float32(table[np.arange(book.m), nibbles].sum()))
 
 
-_LOW_NIBBLE = np.arange(256) & 0x0F
-_HIGH_NIBBLE = np.arange(256) >> 4
+def _nibble_pairs(table: np.ndarray, m: int) -> np.ndarray:
+    """(code_bytes, 256, 2) float64: for each byte position and byte value
+    v = 16 * high + low, the partial scores of its low and high nibble."""
+    code_bytes = (m + 1) // 2
+    pairs = np.zeros((code_bytes, SUBSPACE_CENTERS, SUBSPACE_CENTERS, 2))
+    pairs[..., 0] = table[0::2][:, None, :]
+    pairs[: m // 2, :, :, 1] = table[1::2][:, :, None]  # odd m: the pad nibble scores 0
+    return pairs.reshape(code_bytes, 256, 2)
 
 
 def score_codes(table: np.ndarray, packed: np.ndarray, m: int) -> np.ndarray:
@@ -192,14 +199,60 @@ def score_codes(table: np.ndarray, packed: np.ndarray, m: int) -> np.ndarray:
     the same; only the number of lookups is halved and no unpacking is done.
     """
     code_bytes = packed.shape[1]
-    pairs = np.zeros((code_bytes, 256, 2))
-    pairs[:, :, 0] = table[0::2][:, _LOW_NIBBLE]
-    pairs[: m // 2, :, 1] = table[1::2][:, _HIGH_NIBBLE]  # odd m: the pad slot is cut below
+    pairs = _nibble_pairs(table, m)
     offsets = 256 * np.arange(code_bytes)
     offsets = offsets.astype(np.min_scalar_type(offsets[-1] + 255))
     # complex128 moves each pair of float64 partials as one item, bits unchanged
     partials = np.take(pairs.view(np.complex128).ravel(), packed + offsets).view(np.float64)
     return partials[:, :m].sum(axis=1)
+
+
+_LEVELS = np.iinfo(np.uint16).max  # quantized table entries fit uint16
+
+
+def estimate_scores(
+    table: np.ndarray, packed: np.ndarray, m: int, base: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Cheap estimates of base + score_codes(table, packed, m), and a bound B
+    that no estimate is further than from that float64 sum.
+
+    Each code byte's two nibble partials are summed into one float64 entry
+    per byte value. Every byte position's 256 entries, less their minimum,
+    are rounded to uint16 levels of one common `scale`, so a row's estimate
+    is base, plus the minima, plus scale times the uint32 sum of its bytes'
+    levels. The block is transposed once and summed column by column.
+
+    The rounding to levels is off by at most scale / 2 per byte. The float64
+    arithmetic on either side (the m-term sum and the add of base in
+    score_codes; here the pair sums, the quantizing, the sum of the minima
+    and the assembling of the estimate) rounds, to first order, by at most
+    m + code_bytes + 12 times eps / 2 of M = max |base| + the sum over
+    subspaces of the largest |partial|. The slack doubles that, and more,
+    to cover the higher-order terms: B = code_bytes * scale / 2 +
+    (m + code_bytes + 13) * eps * M. When 4 M overflows no bound holds:
+    every estimate is 0 and B is infinite.
+    """
+    code_bytes = packed.shape[1]
+    magnitude = max(base.max(), -base.min()) + float(np.abs(table).max(axis=1).sum())
+    if not math.isfinite(4 * magnitude):
+        return np.zeros(base.shape[0]), math.inf
+    pairs = _nibble_pairs(table, m)
+    byte = pairs[:, :, 0] + pairs[:, :, 1]
+    low = byte.min(axis=1, keepdims=True)
+    byte -= low
+    # fewer levels past 65,537 code bytes, so that the uint32 sums stay exact
+    scale = float(byte.max()) / min(_LEVELS, np.iinfo(np.uint32).max // code_bytes)
+    if not scale >= np.finfo(np.float64).tiny:
+        scale = 1.0  # a flat table, or one too small to divide by: every level is 0
+    # uint16 levels, held as uint32 so that the sums below need no cast
+    levels = np.rint(byte / scale).astype(np.uint32)
+    columns = np.ascontiguousarray(packed.T)
+    total = levels[0].take(columns[0])
+    for j in range(1, code_bytes):
+        total += levels[j].take(columns[j])
+    estimates = base + (float(low.sum()) + scale * total)
+    slack = (m + code_bytes + 13) * np.finfo(np.float64).eps * magnitude
+    return estimates, code_bytes * scale / 2 + slack
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,16 @@ class TestSearch:
         with pytest.raises(ValueError, match=message):
             SearchParams(**{"k": 5, field: value})
 
+    def test_needs_probes_or_budget_when_built(self):
+        with pytest.raises(ValueError, match="need probes or budget"):
+            SearchParams(k=5)
+        with pytest.raises(ValueError, match="need probes or budget"):
+            SearchParams(k=5, rerank=7)
+
     def test_default_rerank(self):
-        assert SearchParams(k=3).resolved_rerank() == 100
-        assert SearchParams(k=50).resolved_rerank() == 500
-        assert SearchParams(k=5, rerank=7).resolved_rerank() == 7
+        assert SearchParams(k=3, probes=1).resolved_rerank() == 100
+        assert SearchParams(k=50, budget=0).resolved_rerank() == 500
+        assert SearchParams(k=5, probes=1, rerank=7).resolved_rerank() == 7
 
     def test_dimension_mismatch(self, indices):
         with pytest.raises(ValueError):

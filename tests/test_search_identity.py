@@ -6,15 +6,36 @@ the lookup table by (subspace, nibble). The library scans with one lookup
 per code byte, deduplicates only the pool of entries that can reach the top
 `rerank` (and nothing when an id has one entry), and selects the probed
 partitions, the rerank candidates and the top k with `top_positions`
-instead of sorting; every SearchResult must stay the same, bit for bit.
+instead of sorting. When it scans many times the pool, it first estimates
+every entry from integer tables and scores exactly only those that can
+reach the pool. Every SearchResult must stay the same, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from soar.core import Dataset, Neighbor, batch_inner_products, top_positions
-from soar.index import SearchParams, SearchResult, _partitions_to_scan, build, search
-from soar.pq import pq_encode_batch, score_codes, scoring_table, train_pq, unpack_codes
+import soar.index
+from soar.core import _SELECT_FROM, Dataset, Neighbor, batch_inner_products, top_positions
+from soar.index import (
+    _FIRST_STAGE_FROM,
+    SearchParams,
+    SearchResult,
+    SoarIndex,
+    _partitions_to_scan,
+    build,
+    search,
+)
+from soar.pq import (
+    PQCodebook,
+    estimate_scores,
+    pq_decode,
+    pq_encode_batch,
+    score_codes,
+    scoring_table,
+    train_pq,
+    unpack_codes,
+)
+from soar.vq import AssignmentTable, Codebook
 
 # ---------------------------------------------------------------------------
 # reference search, verbatim
@@ -106,14 +127,14 @@ def test_score_codes_matches_reference_on_trained_codes():
 
 def _selection_cases():
     rng = np.random.default_rng(8)
-    signed_zeros = np.where(rng.random(300) < 0.5, 0.0, -0.0)
-    signed_zeros[rng.integers(300, size=40)] = rng.choice([-1.0, 1.0], size=40)
+    signed_zeros = np.where(rng.random(600) < 0.5, 0.0, -0.0)
+    signed_zeros[rng.integers(600, size=80)] = rng.choice([-1.0, 1.0], size=80)
     return {
-        "float32": (rng.standard_normal(300).astype(np.float32), None),
-        "float64": (rng.standard_normal(300), None),
-        "heavy-ties": (rng.integers(0, 4, size=300).astype(np.float32), None),
+        "float32": (rng.standard_normal(600).astype(np.float32), None),
+        "float64": (rng.standard_normal(600), None),
+        "heavy-ties": (rng.integers(0, 4, size=600).astype(np.float32), None),
         "signed-zeros": (signed_zeros, None),
-        "tiebreak-ids": (rng.integers(0, 6, size=300).astype(np.float64), rng.permutation(300)),
+        "tiebreak-ids": (rng.integers(0, 6, size=600).astype(np.float64), rng.permutation(600)),
     }
 
 
@@ -123,11 +144,14 @@ SELECTION = _selection_cases()
 @pytest.mark.parametrize("count", [1, 2, 7, 60, 299, 300, 301])
 @pytest.mark.parametrize("case", sorted(SELECTION))
 def test_top_positions_is_the_lexsort_prefix(case, count):
-    scores, tiebreak = SELECTION[case]
-    keys = np.arange(scores.shape[0]) if tiebreak is None else tiebreak
-    want = np.lexsort((keys, -scores))[:count]
-    got = top_positions(scores, count, tiebreak)
-    assert got.tolist() == want.tolist()
+    # below _SELECT_FROM entries top_positions sorts them all, from it on it selects
+    for size in (40, _SELECT_FROM - 1, _SELECT_FROM, 600):
+        scores = SELECTION[case][0][:size]
+        tiebreak = None if SELECTION[case][1] is None else SELECTION[case][1][:size]
+        keys = np.arange(size) if tiebreak is None else tiebreak
+        want = np.lexsort((keys, -scores))[:count]
+        got = top_positions(scores, count, tiebreak)
+        assert got.tolist() == want.tolist(), size
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +311,156 @@ def test_k_equals_n(dataset):
         for probes in (1, index.c):
             for rerank in (None, 1, index.n):
                 _assert_same(index, Q[:3], SearchParams(k=index.n, probes=probes, rerank=rerank))
+
+
+# ---------------------------------------------------------------------------
+# the first stage: which searches take it, ties at the pool, and indices
+# built so that each part of the bound is needed
+
+
+@pytest.fixture
+def first_stage_calls(monkeypatch):
+    """A list that gets the entry count of each call search makes to
+    estimate_scores."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return estimate_scores(*args)
+
+    monkeypatch.setattr(soar.index, "estimate_scores", counted)
+    return calls
+
+
+def _pool(index, params) -> int:
+    return params.resolved_rerank() * (2 if index.ids.shape[0] != index.n else 1)
+
+
+def _first_stage_cases(index, Q):
+    """(name, queries, params, whether the first stage runs)."""
+    entries = int(index.offsets[-1])
+    everything = SearchParams(k=10, probes=index.c, rerank=1)
+    return [
+        ("all probes", Q, everything, True),
+        ("zero query", np.zeros((1, index.d)), everything, True),
+        ("query x 1e6", Q[:2] * 1e6, everything, True),
+        ("budget", Q, SearchParams(k=5, budget=entries // 2, rerank=1), True),
+        ("default rerank", Q, SearchParams(k=10, probes=index.c), False),
+        ("one probe", Q, SearchParams(k=1, probes=1, rerank=entries), False),
+    ]
+
+
+def test_first_stage_cases(dataset, first_stage_calls):
+    Q, built = dataset
+    for policy, index in built.items():
+        for name, queries, params, runs in _first_stage_cases(index, Q):
+            first_stage_calls.clear()
+            _assert_same(index, queries, params)
+            estimated = list(first_stage_calls)
+            scanned = [search(index, q, params).datapoints_scanned for q in queries]
+            gate = _FIRST_STAGE_FROM * _pool(index, params)
+            assert [count >= gate for count in scanned] == [runs] * len(queries), (policy, name)
+            # the first stage estimates every scanned entry, or does not run
+            assert estimated == (scanned if runs else []), (policy, name)
+
+
+def _pool_ties(index, q, params) -> set:
+    """Which scores tie across the pool-th place among all scanned entries,
+    when search takes the first stage: "estimate" and "approximate"."""
+    qv = np.asarray(q, dtype=np.float64)
+    center_scores = (index.codebook.centers.astype(np.float64) @ qv).astype(np.float32)
+    scan = _partitions_to_scan(index, np.lexsort((np.arange(index.c), -center_scores)), params)
+    lengths = index.offsets[scan + 1] - index.offsets[scan]
+    pool = _pool(index, params)
+    if lengths.sum() < _FIRST_STAGE_FROM * pool:
+        return set()
+    rows = np.concatenate([np.arange(index.offsets[p], index.offsets[p + 1]) for p in scan])
+    base = np.repeat(center_scores[scan].astype(np.float64), lengths)
+    table = scoring_table(qv, index.pq_book)
+    estimates, _ = estimate_scores(table, index.codes[rows], index.pq_book.m, base)
+    approx = base + reference_score_codes(table, index.codes[rows], index.pq_book.m)
+    found = set()
+    for name, scores in [("estimate", estimates), ("approximate", approx)]:
+        ranked = np.sort(scores)[::-1]
+        if ranked[pool - 1] == ranked[pool]:
+            found.add(name)
+    return found
+
+
+@pytest.mark.parametrize("name", ["duplicates", "lattice"])
+def test_first_stage_meets_ties_at_the_pool(name):
+    X, Q, c, s = DATA[name]
+    found = set()
+    for policy in ("none", "naive", "soar"):
+        index = build(Dataset(X), c=c, policy=policy, s=s, seed=3, lam=1.0)
+        for _, queries, params, _ in _first_stage_cases(index, Q):
+            for q in queries:
+                found |= _pool_ties(index, q, params)
+    assert found == {"estimate", "approximate"}
+
+
+def _handmade(policy: str, partials: np.ndarray, nibbles: np.ndarray) -> SoarIndex:
+    """An index with s = 1 and the given (m, 16) subspace centers, whose
+    datapoints are the decoded codes of the given (n, m) nibbles. Centers at
+    0, so every partition scores 0: one partition, or for a spilled policy
+    two, each holding every id with the same code."""
+    m, n = partials.shape[0], nibbles.shape[0]
+    book = PQCodebook(partials[:, :, None], d=m)
+    codes = (nibbles[:, 0::2] | nibbles[:, 1::2] << 4).astype(np.uint8)
+    c = 1 if policy == "none" else 2
+    lam = 1.0 if policy == "soar" else 0.0
+    assignment = AssignmentTable(np.zeros(n, dtype=np.int32),
+                                 None if c == 1 else np.ones(n, dtype=np.int32),
+                                 policy, lam if policy == "soar" else None)
+    return SoarIndex(codebook=Codebook(np.zeros((c, m))), pq_book=book,
+                     offsets=np.arange(c + 1) * n, ids=np.tile(np.arange(n, dtype=np.uint32), c),
+                     codes=np.tile(codes, (c, 1)),
+                     full_store=Dataset([pq_decode(code, book) for code in codes]),
+                     policy=policy, lam=lam, seed=0, assignment=assignment)
+
+
+def _needs_quantization_bound():
+    # m = 6, s = 1, q = 1: byte b's entries are subspace 2b's centers, with
+    # range 65535, so the scale is 1 and an entry's level is its rounding.
+    # Entry 0 (10.49 x 3 = 31.47) scores above entry 1 (10.51 + 10.51 +
+    # 9.51 = 30.53), but its levels (10 x 3) sum 2 below entry 1's (11 + 11
+    # + 10): within 2B = 3 x scale, not within half of it.
+    partials = np.zeros((6, 16), dtype=np.float32)
+    partials[0::2, 1:5] = [65535.0, 10.49, 10.51, 9.51]
+    nibbles = np.zeros((2 * _FIRST_STAGE_FROM, 6), dtype=np.uint8)
+    nibbles[0] = [2, 0, 2, 0, 2, 0]
+    nibbles[1] = [3, 0, 3, 0, 4, 0]
+    return partials, nibbles, np.ones(6)
+
+
+def _needs_rounding_slack():
+    # m = 4, s = 1: subspace 2 scores 2^52 for every code, where float64
+    # steps are 1. score_codes sums the partials left to right, ((t0 + t1)
+    # + 2^52) + t3; the estimate sums byte by byte, (t0 + t1) + (2^52 + t3);
+    # so each rounds at its own place. Entry 1 (t0 = 0.5, t3 = 0.75) scores
+    # 2^52 + 1 but estimates 2^52 + 2; entry 0 (t3 = 1) scores and
+    # estimates 2^52 + 1. The exact scores tie, and the estimates differ by
+    # far more than the levels' part of 2B (code_bytes x scale, 3e-5 here).
+    partials = np.zeros((4, 16), dtype=np.float32)
+    partials[0, 1] = 0.5
+    partials[2] = 2.0**24
+    partials[3, 1:3] = [0.75, 1.0]
+    nibbles = np.zeros((2 * _FIRST_STAGE_FROM, 4), dtype=np.uint8)
+    nibbles[0] = [0, 0, 0, 2]
+    nibbles[1] = [1, 0, 0, 1]
+    return partials, nibbles, np.array([1.0, 1.0, 2.0**28, 1.0])
+
+
+@pytest.mark.parametrize("policy", ["none", "naive", "soar"])
+@pytest.mark.parametrize("case", [_needs_quantization_bound, _needs_rounding_slack],
+                         ids=["levels", "rounding"])
+def test_first_stage_keeps_what_its_bound_must(case, policy, first_stage_calls):
+    # Entry 0 is the answer (k = rerank = 1), and with a bound less than
+    # the whole B the first stage would drop it: halve the levels' term and
+    # the first case fails, drop the rounding slack and the second does.
+    partials, nibbles, q = case()
+    index = _handmade(policy, partials, nibbles)
+    params = SearchParams(k=1, probes=2, rerank=1)
+    assert [nb.id for nb in reference_search(index, q, params).neighbors] == [0]
+    _assert_same(index, [q], params)
+    assert first_stage_calls
