@@ -284,14 +284,14 @@ class SweepPoint:
     mean_rho: float  # mean cos(r, r'), the closed-form score correlation
 
 
-def lambda_sweep(X: Dataset, codebook, primary, Q=None, lambdas=(0.0, 0.5, 1.0, 2.0, 4.0)):
+def lambda_sweep(X: Dataset, codebook, primary, lambdas=(0.0, 0.5, 1.0, 2.0, 4.0)):
     """Re-run the spilled assignment per lambda over a fixed codebook and
     primary table, reporting spill residual mass and the closed-form
     correlation between primary and spilled score errors.
 
-    The correlation needs no query sample (Q is accepted for signature
-    symmetry and ignored): for unit-sphere queries it equals cos(r, r')
-    exactly, so it is computed per datapoint from the residuals.
+    The correlation needs no query sample: for unit-sphere queries it
+    equals cos(r, r') exactly, so it is computed per datapoint from the
+    residuals.
     """
     lams = [float(v) for v in lambdas]
     if len(lams) < 1 or any(b <= a for a, b in zip(lams, lams[1:])):
@@ -381,12 +381,7 @@ def mc_verify_theorem1(r, r_primes, lam: float, samples: int, seed=0) -> Theorem
             sums += proj.sum(axis=0, dtype=np.float64)
             continue
         align = block @ rhat
-        if lam == 1.0:
-            weights = np.abs(align)
-        elif lam == 2.0:
-            weights = align * align
-        else:
-            weights = np.abs(align) ** np.float32(lam)
+        weights = np.abs(align) ** np.float32(lam)
         sums += (weights @ proj).astype(np.float64)
     empirical = sums / samples
     closed = np.array([soar_loss(rp, rv, lam) for rp in cands])

@@ -14,19 +14,22 @@ its spills, ids ascending within each run.
 
 Search: rank partitions by query-center inner product, gather the rows of
 the top `probes` partitions and score them with table-based approximate
-scores (one lookup per code byte, see `pq.score_codes`); when an id can
-have two entries (a spilled policy), keep the pool of entries scoring at
-least the (2 x `rerank`)-th best and dedup it by id keeping the best
-approximate score; rerank the best `rerank` candidates with exact float32
-scores, return the top k. The probe, rerank and k cuts each select with
-`core.top_positions` (ties by partition id or datapoint id) instead of
-sorting everything. The pool only drops entries that cannot reach the top
-`rerank`, so results equal those of deduplicating every scanned entry,
-and none of it depends on the row order within a partition.
+scores (one lookup per code byte, see `pq.score_codes`); select the pool
+of the best entries by (approximate score desc, id asc); rerank the first
+`rerank` distinct ids among them with exact float32 scores, return the top
+k. The probe, pool and k cuts each select with `core.top_positions` (ties
+by partition id or datapoint id) instead of sorting everything, so none of
+it depends on the row order within a partition.
 
-Two-stage scan: the pool is 2 x `rerank` entries under a spill and
-`rerank` without one (where the rerank cut needs the top `rerank`
-entries). When at least _FIRST_STAGE_FROM times the pool is scanned,
+The pool is `rerank` entries without a spill, where every id has one
+entry. Under a spill it is 2 x `rerank`, and each id keeps only its first
+entry: in that order an id's first entry is its best one, and the first
+entries come in the order that deduplicating every scanned entry by best
+score and sorting would give. An id has at most two entries, so the first
+2 x `rerank` entries hold at least `rerank` distinct ids, and those are
+the candidates a full dedup would rerank.
+
+Two-stage scan: when at least _FIRST_STAGE_FROM times the pool is scanned,
 `pq.estimate_scores` first estimates every scanned entry from integer
 tables, each estimate within B of the entry's approximate score. Let q*
 be the pool-th best estimate and a* the pool-th best approximate score.
@@ -309,28 +312,16 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
         keep = np.flatnonzero(estimates >= np.partition(estimates, cut)[cut] - 2 * bound)
         rows, codes, base = rows[keep], codes[keep], base[keep]
     approx = base + score_codes(table, codes, index.pq_book.m)
-    if spilled and pool < approx.shape[0]:
-        # Keep every entry scoring at least the (2 x rerank)-th best, ties
-        # included. The kept entries cover at least `rerank` distinct ids,
-        # and an id with any entry kept has its best entry kept, so no id
-        # left out can reach the top `rerank`: dedup and top-R over the pool
-        # equal those over every scanned entry.
-        cut = approx.shape[0] - pool
-        keep = approx >= np.partition(approx, cut)[cut]
-        rows, approx = rows[keep], approx[keep]
-    ids = index.ids[rows].astype(np.int64)
+    ids = index.ids[rows]
+    # the best `pool` entries by (approximate score desc, id asc); under a
+    # spill each id keeps its first, and best, entry (module docstring). The
+    # candidates stay in that order for the exact scores: the float64
+    # GEMV's result for a row can depend on its position.
+    cand = ids[top_positions(approx, pool, ids)].astype(np.int64)
     if spilled:
-        # dedup: keep the best approximate score per id
-        keep = np.lexsort((-approx, ids))
-        ids, approx = ids[keep], approx[keep]
-        first = np.ones(ids.shape[0], dtype=bool)
-        first[1:] = ids[1:] != ids[:-1]
-        ids, approx = ids[first], approx[first]
-    # Without a spill there is nothing to dedup: the (score desc, id asc)
-    # keys of the next cut are unique, so its answer does not depend on the
-    # entry order. The candidates stay in that order for the exact scores:
-    # the float64 GEMV's result for a row can depend on its position.
-    cand = ids[top_positions(approx, rerank, ids)]
+        _, first = np.unique(cand, return_index=True)
+        cand = cand[np.sort(first)]
+    cand = cand[:rerank]
     exact = batch_inner_products(qv, index.full_store.data[cand])
     top = top_positions(exact, params.k, cand)
     neighbors = list(map(Neighbor, cand[top].tolist(), exact[top].tolist()))
@@ -480,13 +471,16 @@ def save(index: SoarIndex, path) -> None:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write data into a temp file beside path, then os.replace it over
-    path, so a failed write never leaves a partial file behind."""
+    """Write data into a temp file beside path, fsync it, then os.replace
+    it over path, so neither a failed write nor a crash leaves a partial
+    file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

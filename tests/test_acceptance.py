@@ -217,7 +217,7 @@ def test_criterion_6_scan_cost_to_reach_recall(criterion_report, big, big_indice
 def test_criterion_7_lambda_sweep_monotonicity(criterion_report, big, big_indices):
     X, _ = big
     idx = big_indices["none"]
-    points = lambda_sweep(X, idx.codebook, idx.assignment, None, (0.0, 0.5, 1.0, 2.0, 4.0))
+    points = lambda_sweep(X, idx.codebook, idx.assignment, (0.0, 0.5, 1.0, 2.0, 4.0))
     norms = np.array([p.mean_spill_sq_norm for p in points])
     rhos = np.array([p.mean_rho for p in points])
     norm_tol = 0.01 * (norms.max() - norms.min())

@@ -247,7 +247,7 @@ X = means[rng.integers(16, size=12000)] + rng.standard_normal((12000, 48))
 index = build(Dataset(X.astype(np.float32)), c=40, policy="soar", s=2, seed=3, lam=1.0)
 print(hashlib.sha256(serialize(index)).hexdigest())
 Q = means[rng.integers(16, size=60)] + rng.standard_normal((60, 48))
-# the unspilled index takes search's branch without the dedup
+# the unspilled index skips search's first-entry pass
 unspilled = build(Dataset(X.astype(np.float32)), c=40, policy="none", s=2, seed=3)
 answers = [
     (r.datapoints_scanned, [(nb.id, nb.score) for nb in r.neighbors])

@@ -275,7 +275,7 @@ class TestLambdaSweep:
     def test_lambda_zero_matches_naive_assignment(self, instance):
         X, _ = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        points = lambda_sweep(X, idx.codebook, idx.assignment, None, (0.0, 1.0))
+        points = lambda_sweep(X, idx.codebook, idx.assignment, (0.0, 1.0))
         naive = assign_spilled_naive(X, idx.codebook, idx.assignment)
         data = X.data.astype(np.float64)
         res2 = data - idx.codebook.centers.astype(np.float64)[naive.spilled]
@@ -291,19 +291,18 @@ class TestLambdaSweep:
         assert all(b >= a for a, b in zip(norms, norms[1:]))
         assert [p.lam for p in points] == [0.0, 0.5, 1.0, 2.0, 4.0]
 
-    def test_queries_are_ignored(self, instance):
+    def test_takes_no_queries(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        a = lambda_sweep(X, idx.codebook, idx.assignment, None, (0.0, 2.0))
-        b = lambda_sweep(X, idx.codebook, idx.assignment, Q, (0.0, 2.0))
-        assert a == b
+        with pytest.raises(TypeError):
+            lambda_sweep(X, idx.codebook, idx.assignment, Q, (0.0, 2.0))
 
     def test_requires_ascending_lambdas(self, instance):
         X, _ = instance
         idx = build(X, c=4, policy="none", s=2, seed=3)
         for bad in ((1.0, 1.0), (2.0, 1.0), ()):
             with pytest.raises(ValueError):
-                lambda_sweep(X, idx.codebook, idx.assignment, None, bad)
+                lambda_sweep(X, idx.codebook, idx.assignment, bad)
 
 
 class TestTheoremMc:

@@ -1,4 +1,6 @@
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +250,27 @@ class TestSerialization:
         save(indices["soar"], path)
         assert path.read_bytes() == serialize(indices["soar"])
         assert [p.name for p in tmp_path.iterdir()] == ["x.soar"]
+
+    def test_save_syncs_before_replace(self, indices, tmp_path, monkeypatch):
+        # a crash after the rename must not find the new name on a file
+        # whose bytes never reached the disk
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "x.soar"
+        save(indices["soar"], path)
+        size = len(serialize(indices["soar"]))
+        assert calls == [("fsync", size), ("replace", "x.soar")]
 
     def test_spill_size_delta_is_exact(self, small_data, indices):
         X, _ = small_data

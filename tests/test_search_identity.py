@@ -3,12 +3,13 @@
 The reference functions below are the original search and code scan, kept
 verbatim: they deduplicate and fully sort every scanned entry, and index
 the lookup table by (subspace, nibble). The library scans with one lookup
-per code byte, deduplicates only the pool of entries that can reach the top
-`rerank` (and nothing when an id has one entry), and selects the probed
-partitions, the rerank candidates and the top k with `top_positions`
-instead of sorting. When it scans many times the pool, it first estimates
-every entry from integer tables and scores exactly only those that can
-reach the pool. Every SearchResult must stay the same, bit for bit.
+per code byte and selects the probed partitions, the pool and the top k
+with `top_positions` instead of sorting. The pool is the best `rerank`
+entries, or 2 x `rerank` under a spill, where each id keeps only its first
+entry; the rerank candidates are the pool's first `rerank` ids. When it
+scans many times the pool, it first estimates every entry from integer
+tables and scores exactly only those that can reach the pool. Every
+SearchResult must stay the same, bit for bit.
 """
 
 import numpy as np
@@ -231,8 +232,9 @@ def _grid(index):
 
 
 def _ties_at_cuts(index, q, params) -> set:
-    """The cuts of reference_search at which equal scores fall on both
-    sides: "probes" (float32 center scores), "rerank" (deduplicated
+    """The cuts at which equal scores fall on both sides: "probes" (float32
+    center scores), "pool" (the approximate scores of every scanned entry,
+    at search's 2 x rerank-th place under a spill), "rerank" (deduplicated
     approximate scores), "k" (exact scores); plus "unordered" when the
     scanned ids of an unspilled index are not ascending overall."""
     qv = np.asarray(q, dtype=np.float64)
@@ -245,31 +247,34 @@ def _ties_at_cuts(index, q, params) -> set:
         scoring_table(qv, index.pq_book), index.codes[rows], index.pq_book.m
     )
     found = set()
-    if index.ids.shape[0] == index.n and np.any(np.diff(ids) < 0):
+    spilled = index.ids.shape[0] != index.n
+    if not spilled and np.any(np.diff(ids) < 0):
         found.add("unordered")
+    rerank = params.resolved_rerank()
+    cuts = [("pool", 2 * rerank, approx)] if spilled else []
     best = np.lexsort((-approx, ids))
     first = np.ones(best.shape[0], dtype=bool)
     first[1:] = ids[best][1:] != ids[best][:-1]
     ids, approx = ids[best][first], approx[best][first]
     order = np.lexsort((ids, -approx))
-    rerank = params.resolved_rerank()
     exact = batch_inner_products(qv, index.full_store.data[ids[order][:rerank]])
-    for cut, count, scores in [("probes", params.probes, center_scores),
-                               ("rerank", rerank, approx),
-                               ("k", params.k, exact)]:
+    for cut, count, scores in cuts + [("probes", params.probes, center_scores),
+                                      ("rerank", rerank, approx),
+                                      ("k", params.k, exact)]:
         ranked = np.sort(scores)[::-1]
         if count < ranked.shape[0] and ranked[count - 1] == ranked[count]:
             found.add(cut)
     return found
 
 
-@pytest.mark.parametrize("name,cuts", [("duplicates", {"probes", "rerank", "k", "unordered"}),
-                                       ("lattice", {"probes", "rerank", "k", "unordered"}),
+@pytest.mark.parametrize("name,cuts", [("duplicates", {"probes", "pool", "rerank", "k", "unordered"}),
+                                       ("lattice", {"probes", "pool", "rerank", "k", "unordered"}),
                                        ("mixture", {"unordered"})])
 def test_grid_meets_ties_at_every_cut(name, cuts):
     # the identity tests above are only as strong as the ties they meet:
-    # each selection must see equal scores straddling its cut, and the
-    # unspilled path, which skips the dedup, ids that arrive out of order
+    # each selection must see equal scores straddling its cut, the pool's
+    # truncation at 2 x rerank under a spill included, and the unspilled
+    # path, which skips the first-entry pass, ids that arrive out of order
     X, Q, c, s = DATA[name]
     found = set()
     for policy in ("none", "naive", "soar"):
@@ -292,7 +297,8 @@ def test_probe_and_rerank_grid(dataset):
                 pooled += 1
             elif spilled:
                 bypassed += 1
-    # under a spill, both the pool and the full dedup are exercised
+    # under a spill, pools that truncate the scanned entries and pools
+    # that hold every one of them are both exercised
     assert pooled and bypassed
 
 
