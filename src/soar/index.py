@@ -30,14 +30,15 @@ score and sorting would give. An id has at most two entries, so the first
 the candidates a full dedup would rerank.
 
 Two-stage scan: when at least _FIRST_STAGE_FROM times the pool is scanned,
-`pq.estimate_scores` first estimates every scanned entry from integer
-tables, each estimate within B of the entry's approximate score. Let q*
-be the pool-th best estimate and a* the pool-th best approximate score.
-The pool entries estimate at least q*, so they score at least q* - B,
-hence a* >= q* - B; an entry scoring at least a* then estimates at least
-a* - B >= q* - 2B. So keeping the entries that estimate at least q* - 2B
-keeps every entry that can reach the pool. Only those are scored, in scan
-order, and every later stage sees the same entries and the same bits.
+`pq.estimate_scores` first estimates every scanned entry with one float64
+lookup per code byte, each estimate within B, the float64 rounding slack,
+of the entry's approximate score. Let q* be the pool-th best estimate and
+a* the pool-th best approximate score. The pool entries estimate at least
+q*, so they score at least q* - B, hence a* >= q* - B; an entry scoring
+at least a* then estimates at least a* - B >= q* - 2B. So keeping the
+entries that estimate at least q* - 2B keeps every entry that can reach
+the pool. Only those are scored, in scan order, and every later stage
+sees the same entries and the same bits.
 
 On-disk format (".soar", little-endian throughout), the CSR table as is:
 
@@ -395,10 +396,9 @@ def deserialize(data: bytes) -> SoarIndex:
 
     def read_f32(section: str, shape: tuple, make):
         """make(array) from the next float32 section, shaped; a ValueError
-        from make is reported as a format error in that section."""
+        from make, which also rejects NaN and Inf, is reported as a format
+        error in that section."""
         arr = np.frombuffer(cur.take(4 * math.prod(shape), section), dtype="<f4")
-        if not np.all(np.isfinite(arr)):
-            raise IndexFormatError(section, "non-finite float values")
         try:
             return make(arr.reshape(shape))
         except ValueError as exc:

@@ -207,9 +207,6 @@ def score_codes(table: np.ndarray, packed: np.ndarray, m: int) -> np.ndarray:
     return partials[:, :m].sum(axis=1)
 
 
-_LEVELS = np.iinfo(np.uint16).max  # quantized table entries fit uint16
-
-
 def estimate_scores(
     table: np.ndarray, packed: np.ndarray, m: int, base: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -217,42 +214,33 @@ def estimate_scores(
     that no estimate is further than from that float64 sum.
 
     Each code byte's two nibble partials are summed into one float64 entry
-    per byte value. Every byte position's 256 entries, less their minimum,
-    are rounded to uint16 levels of one common `scale`, so a row's estimate
-    is base, plus the minima, plus scale times the uint32 sum of its bytes'
-    levels. The block is transposed once and summed column by column.
+    per byte value. The block is transposed once, and a row's entries are
+    added column by column, then base: one lookup per code byte.
 
-    The rounding to levels is off by at most scale / 2 per byte. The float64
-    arithmetic on either side (the m-term sum and the add of base in
-    score_codes; here the pair sums, the quantizing, the sum of the minima
-    and the assembling of the estimate) rounds, to first order, by at most
-    m + code_bytes + 12 times eps / 2 of M = max |base| + the sum over
-    subspaces of the largest |partial|. The slack doubles that, and more,
-    to cover the higher-order terms: B = code_bytes * scale / 2 +
-    (m + code_bytes + 13) * eps * M. When 4 M overflows no bound holds:
-    every estimate is 0 and B is infinite.
+    The two sides sum the same partials in different orders, so they differ
+    only by float64 rounding. With u = eps / 2 and M = max |base| + the sum
+    over subspaces of the largest |partial|, every partial sum on either
+    side is at most M in size, so each add rounds by at most u M to first
+    order. score_codes makes m - 1 adds and the add of base; the estimate
+    makes the pair sums (together within u M, as the pairs partition the
+    subspaces), code_bytes - 1 column adds and the add of base. So to first
+    order |estimate - approximate score| <= (m + code_bytes + 1) u M. Search
+    compares estimates with q* - 2B, which rounds once more. B = (m +
+    code_bytes + 13) eps M, more than twice all of that, also covers the
+    higher-order terms. When 4 M overflows no bound holds: every estimate
+    is 0 and B is infinite.
     """
     code_bytes = packed.shape[1]
-    magnitude = max(base.max(), -base.min()) + float(np.abs(table).max(axis=1).sum())
+    magnitude = float(max(base.max(), -base.min())) + float(np.abs(table).max(axis=1).sum())
     if not math.isfinite(4 * magnitude):
         return np.zeros(base.shape[0]), math.inf
     pairs = _nibble_pairs(table, m)
     byte = pairs[:, :, 0] + pairs[:, :, 1]
-    low = byte.min(axis=1, keepdims=True)
-    byte -= low
-    # fewer levels past 65,537 code bytes, so that the uint32 sums stay exact
-    scale = float(byte.max()) / min(_LEVELS, np.iinfo(np.uint32).max // code_bytes)
-    if not scale >= np.finfo(np.float64).tiny:
-        scale = 1.0  # a flat table, or one too small to divide by: every level is 0
-    # uint16 levels, held as uint32 so that the sums below need no cast
-    levels = np.rint(byte / scale).astype(np.uint32)
     columns = np.ascontiguousarray(packed.T)
-    total = levels[0].take(columns[0])
+    total = byte[0].take(columns[0])
     for j in range(1, code_bytes):
-        total += levels[j].take(columns[j])
-    estimates = base + (float(low.sum()) + scale * total)
-    slack = (m + code_bytes + 13) * np.finfo(np.float64).eps * magnitude
-    return estimates, code_bytes * scale / 2 + slack
+        total += byte[j].take(columns[j])
+    return base + total, (m + code_bytes + 13) * np.finfo(np.float64).eps * magnitude
 
 
 @dataclass(frozen=True)

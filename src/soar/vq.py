@@ -205,7 +205,7 @@ def _repair_duplicate_centers(
 
 
 def lloyd_kmeans(
-    points: np.ndarray, c: int, max_iters: int = 25, rng: np.random.Generator | None = None
+    points: np.ndarray, c: int, max_iters: int = 25, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Lloyd's algorithm on a raw float array. Returns float32 centers.
 
@@ -218,8 +218,6 @@ def lloyd_kmeans(
         raise ValueError(f"c={c} outside [1, {n}]")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     centers = _kmeanspp_init(points, c, rng)
     pnorm = _sq_norms(points)
     prev = None

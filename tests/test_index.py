@@ -335,6 +335,22 @@ class TestSerialization:
             pytest.fail("expected IndexFormatError")
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("section", ["codebook", "pq codebook", "full store"])
+    def test_non_finite_float_names_section(self, indices, section, value):
+        idx = indices["soar"]
+        blob = bytearray(serialize(idx))
+        at = {
+            "codebook": HEADER_BYTES,
+            "pq codebook": HEADER_BYTES + 4 * idx.c * idx.d,
+            "full store": len(blob) - 4 * idx.n * idx.d,
+        }[section] + 4 * 5  # the section's sixth float
+        blob[at : at + 4] = np.float32(value).astype("<f4").tobytes()
+        with pytest.raises(IndexFormatError) as info:
+            deserialize(bytes(blob))
+        assert info.value.section == section
+
+
 class TestLoadReadsAssignment:
     @pytest.mark.parametrize("policy", ["none", "naive", "soar"])
     def test_load_reads_built_table(self, indices, tmp_path, monkeypatch, policy):

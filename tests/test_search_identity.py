@@ -7,9 +7,9 @@ per code byte and selects the probed partitions, the pool and the top k
 with `top_positions` instead of sorting. The pool is the best `rerank`
 entries, or 2 x `rerank` under a spill, where each id keeps only its first
 entry; the rerank candidates are the pool's first `rerank` ids. When it
-scans many times the pool, it first estimates every entry from integer
-tables and scores exactly only those that can reach the pool. Every
-SearchResult must stay the same, bit for bit.
+scans many times the pool, it first estimates every entry with one float64
+lookup per code byte and scores exactly only those that can reach the
+pool. Every SearchResult must stay the same, bit for bit.
 """
 
 import numpy as np
@@ -321,7 +321,7 @@ def test_k_equals_n(dataset):
 
 # ---------------------------------------------------------------------------
 # the first stage: which searches take it, ties at the pool, and indices
-# built so that each part of the bound is needed
+# built so that its bound is needed
 
 
 @pytest.fixture
@@ -426,11 +426,11 @@ def _handmade(policy: str, partials: np.ndarray, nibbles: np.ndarray) -> SoarInd
 
 
 def _needs_quantization_bound():
-    # m = 6, s = 1, q = 1: byte b's entries are subspace 2b's centers, with
-    # range 65535, so the scale is 1 and an entry's level is its rounding.
-    # Entry 0 (10.49 x 3 = 31.47) scores above entry 1 (10.51 + 10.51 +
-    # 9.51 = 30.53), but its levels (10 x 3) sum 2 below entry 1's (11 + 11
-    # + 10): within 2B = 3 x scale, not within half of it.
+    # m = 6, s = 1, q = 1: byte b's entries are subspace 2b's centers, one
+    # of them 65535. Entry 0 (10.49 x 3 = 31.47) scores above entry 1
+    # (10.51 + 10.51 + 9.51 = 30.53) by 0.94, under 1e-5 of the table's
+    # range: a first stage whose error grew with that range, as one on
+    # 16-bit levels of the table would, could drop entry 0.
     partials = np.zeros((6, 16), dtype=np.float32)
     partials[0::2, 1:5] = [65535.0, 10.49, 10.51, 9.51]
     nibbles = np.zeros((2 * _FIRST_STAGE_FROM, 6), dtype=np.uint8)
@@ -445,8 +445,8 @@ def _needs_rounding_slack():
     # + 2^52) + t3; the estimate sums byte by byte, (t0 + t1) + (2^52 + t3);
     # so each rounds at its own place. Entry 1 (t0 = 0.5, t3 = 0.75) scores
     # 2^52 + 1 but estimates 2^52 + 2; entry 0 (t3 = 1) scores and
-    # estimates 2^52 + 1. The exact scores tie, and the estimates differ by
-    # far more than the levels' part of 2B (code_bytes x scale, 3e-5 here).
+    # estimates 2^52 + 1. The exact scores tie, and only the rounding slack
+    # in B keeps entry 0.
     partials = np.zeros((4, 16), dtype=np.float32)
     partials[0, 1] = 0.5
     partials[2] = 2.0**24
@@ -461,9 +461,8 @@ def _needs_rounding_slack():
 @pytest.mark.parametrize("case", [_needs_quantization_bound, _needs_rounding_slack],
                          ids=["levels", "rounding"])
 def test_first_stage_keeps_what_its_bound_must(case, policy, first_stage_calls):
-    # Entry 0 is the answer (k = rerank = 1), and with a bound less than
-    # the whole B the first stage would drop it: halve the levels' term and
-    # the first case fails, drop the rounding slack and the second does.
+    # Entry 0 is the answer (k = rerank = 1). In the rounding case the first
+    # stage would drop it with B = 0; the levels case keeps entry 0 first.
     partials, nibbles, q = case()
     index = _handmade(policy, partials, nibbles)
     params = SearchParams(k=1, probes=2, rerank=1)
