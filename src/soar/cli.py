@@ -302,7 +302,7 @@ def cmd_bench(args) -> int:
     truth_sets = [set(map(int, row)) for row in truth]
 
     # datapoints each index scans to reach each target; gains are over the last `none` index
-    curves = [evaluation.kmr_curve(Q, idx.full_store, idx, cfg["k"], truth=truth) for idx in indices]
+    curves = [evaluation.kmr_curve(Q, idx, cfg["k"], truth=truth) for idx in indices]
     costs = np.array([[evaluation.datapoints_to_recall(cv, t) for t in _TARGETS] for cv in curves])
     none_costs = [cost for idx, cost in zip(indices, costs) if idx.policy == "none"]
     sweep_rows = []
@@ -363,7 +363,7 @@ def cmd_diagnose(args) -> int:
         cfg["summary_out"] = str(Path(cfg["out"]).with_suffix(".summary.csv"))
     [idx], Q = _load_indices([args.index], args.queries)
     truth = _ground_truth(args, cfg["k"], Q)  # None: exact truth, computed here
-    result = evaluation.diagnostics(Q, idx.full_store, idx, cfg["k"], truth=truth)
+    result = evaluation.diagnostics(Q, idx, cfg["k"], truth=truth)
     spilled = idx.assignment.spilled is not None
 
     header = ["neighbor_id", "residual_norm", "cos_primary", "score_err_primary", "rank_primary"]

@@ -124,17 +124,17 @@ def _resolve_truth(Q: Dataset, X: Dataset, index, k: int, truth) -> np.ndarray:
     return truth
 
 
-def kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> KmrCurve:
+def kmr_curve(Q: Dataset, index, k: int, truth=None) -> KmrCurve:
     """Sweep t = 1..c. A true neighbor is kept at t when the best-ranked of
     its partitions ranks within the top t.
 
     truth, a (|Q|, k) matrix of neighbor ids, defaults to the exact
-    ground_truth_ids(Q, X, k); pass it in to score against a ground truth
-    already at hand instead of recomputing it.
+    ground_truth_ids(Q, index.full_store, k); pass it in to score against a
+    ground truth already at hand instead of recomputing it.
     """
-    truth = _resolve_truth(Q, X, index, k, truth)
+    truth = _resolve_truth(Q, index.full_store, index, k, truth)
     c = index.c
-    ranks = _center_ranks(Q.data.astype(np.float64), index.codebook.centers.astype(np.float64))
+    ranks = _center_ranks(Q.data.astype(np.float64), index.centers64)
     best = np.take_along_axis(ranks, index.assignment.primary[truth], axis=1)
     spill = index.assignment.spilled
     if spill is not None:
@@ -142,8 +142,7 @@ def kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> KmrCurve:
     hit_counts = np.bincount(best.ravel(), minlength=c + 1)  # [r]: pairs with best rank r
     kept = np.cumsum(hit_counts)[1:]  # pairs with best rank <= t, t = 1..c
     # each query scans partitions by rank, ties in partition-id order, as search does
-    part_ids = np.broadcast_to(np.arange(c), ranks.shape)
-    scan_order = np.lexsort((part_ids, ranks), axis=1)
+    scan_order = np.argsort(ranks, axis=1, kind="stable")
     x_sums = np.cumsum(index.posting_sizes()[scan_order], axis=1).sum(axis=0)
     recall = kept / (k * Q.n)
     datapoints = x_sums / Q.n
@@ -213,14 +212,15 @@ def pearson(a, b) -> float:
     return float(np.clip((da @ db) / (na * nb), -1.0, 1.0))
 
 
-def diagnostics(Q: Dataset, X: Dataset, index, k: int, truth=None) -> DiagnosticsResult:
+def diagnostics(Q: Dataset, index, k: int, truth=None) -> DiagnosticsResult:
     """Angle/error columns for every (query, true top-k neighbor) pair.
 
     truth is handled as in kmr_curve: a (|Q|, k) matrix of neighbor ids,
-    by default the exact ground_truth_ids(Q, X, k).
+    by default the exact ground_truth_ids(Q, index.full_store, k).
     """
+    X = index.full_store
     truth = _resolve_truth(Q, X, index, k, truth)
-    centers = index.codebook.centers.astype(np.float64)
+    centers = index.centers64
     qv = Q.data.astype(np.float64)
     qnorms = np.linalg.norm(qv, axis=1)
     if np.any(qnorms == 0):

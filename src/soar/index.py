@@ -171,15 +171,14 @@ class SoarIndex:
         ids: np.ndarray,
         codes: np.ndarray,
         full_store: Dataset,
-        policy: str,
-        lam: float,
         seed: int,
         assignment: AssignmentTable,
     ):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
         if offsets.shape != (codebook.c + 1,) or not offsets[-1] == ids.shape[0] == codes.shape[0]:
             raise ValueError("posting table does not match partition count")
+        entries = (1 if assignment.spilled is None else 2) * assignment.n
+        if assignment.n != full_store.n or ids.shape[0] != entries:
+            raise ValueError("posting table does not match the assignment table")
         self.codebook = codebook
         self.centers64 = codebook.centers.astype(np.float64)  # cast once, not per query
         self.pq_book = pq_book
@@ -188,9 +187,16 @@ class SoarIndex:
         self.codes = codes
         self.full_store = full_store
         self.assignment = assignment
-        self.policy = policy
-        self.lam = float(lam)
         self.seed = int(seed)
+
+    @property
+    def policy(self) -> str:
+        return self.assignment.policy
+
+    @property
+    def lam(self) -> float:
+        """soar's lambda; 0.0 for the other policies, as the header stores it."""
+        return float(self.assignment.lam) if self.policy == "soar" else 0.0
 
     @property
     def n(self) -> int:
@@ -242,6 +248,10 @@ def build(
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "soar" and lam < 0:
         raise ValueError("lam must be non-negative")
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    if policy != "none" and c < 2:
+        raise ValueError("spilled assignment needs at least 2 partitions")
     codebook = train_kmeans(X, c, max_iters=max_iters, seed=seed)
     primary = assign_primary(X, codebook)
     if policy == "naive":
@@ -260,8 +270,6 @@ def build(
         ids=ids,
         codes=codes,
         full_store=X,
-        policy=policy,
-        lam=lam if policy == "soar" else 0.0,
         seed=seed,
         assignment=assignment,
     )
@@ -308,11 +316,11 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     if scanned >= _FIRST_STAGE_FROM * pool:
         # keep, in scan order, every entry whose approximate score can
         # reach the pool (module docstring): estimate >= q* - 2 x bound
-        estimates, bound = estimate_scores(table, codes, index.pq_book.m, base)
+        estimates, bound = estimate_scores(table, codes, base)
         cut = scanned - pool
         keep = np.flatnonzero(estimates >= np.partition(estimates, cut)[cut] - 2 * bound)
         rows, codes, base = rows[keep], codes[keep], base[keep]
-    approx = base + score_codes(table, codes, index.pq_book.m)
+    approx = base + score_codes(table, codes)
     ids = index.ids[rows]
     # the best `pool` entries by (approximate score desc, id asc); under a
     # spill each id keeps its first, and best, entry (module docstring). The
@@ -458,8 +466,6 @@ def deserialize(data: bytes) -> SoarIndex:
         ids=ids,
         codes=codes,
         full_store=full_store,
-        policy=policy,
-        lam=lam,
         seed=seed,
         assignment=AssignmentTable(primary, spilled, policy, lam if policy == "soar" else None),
     )

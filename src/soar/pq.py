@@ -171,17 +171,17 @@ def scoring_table(q, book: PQCodebook) -> np.ndarray:
 
 
 def pq_score(q, code, book: PQCodebook, table: np.ndarray | None = None) -> float:
-    """Approximate score of one code; equals <q, pq_decode(code)> exactly
-    up to float accumulation, because both sides sum the same partials."""
+    """score_codes of one code, as float32: <q, pq_decode(code)> up to float
+    accumulation, because both sides sum the same partials."""
     if table is None:
         table = scoring_table(q, book)
-    nibbles = unpack_codes(np.asarray(code, dtype=np.uint8)[None, :], book.m)[0]
-    return float(np.float32(table[np.arange(book.m), nibbles].sum()))
+    return float(np.float32(score_codes(table, np.asarray(code, dtype=np.uint8)[None, :])[0]))
 
 
-def _nibble_pairs(table: np.ndarray, m: int) -> np.ndarray:
-    """(code_bytes, 256, 2) float64: for each byte position and byte value
-    v = 16 * high + low, the partial scores of its low and high nibble."""
+def _nibble_pairs(table: np.ndarray) -> np.ndarray:
+    """(code_bytes, 256, 2) float64 from an (m, 16) table: for each byte
+    position and byte value v = 16 * high + low, its low and high partial."""
+    m = table.shape[0]
     code_bytes = (m + 1) // 2
     pairs = np.zeros((code_bytes, SUBSPACE_CENTERS, SUBSPACE_CENTERS, 2))
     pairs[..., 0] = table[0::2][:, None, :]
@@ -189,8 +189,8 @@ def _nibble_pairs(table: np.ndarray, m: int) -> np.ndarray:
     return pairs.reshape(code_bytes, 256, 2)
 
 
-def score_codes(table: np.ndarray, packed: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized lookup-table scoring for a block of packed codes.
+def score_codes(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Lookup-table scores of a block of packed codes, for an (m, 16) table.
 
     Each code byte is looked up once, in a per-call table that holds, for
     every byte value, the partial scores of its two nibbles side by side.
@@ -199,18 +199,18 @@ def score_codes(table: np.ndarray, packed: np.ndarray, m: int) -> np.ndarray:
     the same; only the number of lookups is halved and no unpacking is done.
     """
     code_bytes = packed.shape[1]
-    pairs = _nibble_pairs(table, m)
+    pairs = _nibble_pairs(table)
     offsets = 256 * np.arange(code_bytes)
     offsets = offsets.astype(np.min_scalar_type(offsets[-1] + 255))
     # complex128 moves each pair of float64 partials as one item, bits unchanged
     partials = np.take(pairs.view(np.complex128).ravel(), packed + offsets).view(np.float64)
-    return partials[:, :m].sum(axis=1)
+    return partials[:, : table.shape[0]].sum(axis=1)
 
 
 def estimate_scores(
-    table: np.ndarray, packed: np.ndarray, m: int, base: np.ndarray
+    table: np.ndarray, packed: np.ndarray, base: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Cheap estimates of base + score_codes(table, packed, m), and a bound B
+    """Cheap estimates of base + score_codes(table, packed), and a bound B
     that no estimate is further than from that float64 sum.
 
     Each code byte's two nibble partials are summed into one float64 entry
@@ -230,11 +230,11 @@ def estimate_scores(
     higher-order terms. When 4 M overflows no bound holds: every estimate
     is 0 and B is infinite.
     """
-    code_bytes = packed.shape[1]
+    m, code_bytes = table.shape[0], packed.shape[1]
     magnitude = float(max(base.max(), -base.min())) + float(np.abs(table).max(axis=1).sum())
     if not math.isfinite(4 * magnitude):
         return np.zeros(base.shape[0]), math.inf
-    pairs = _nibble_pairs(table, m)
+    pairs = _nibble_pairs(table)
     byte = pairs[:, :, 0] + pairs[:, :, 1]
     columns = np.ascontiguousarray(packed.T)
     total = byte[0].take(columns[0])

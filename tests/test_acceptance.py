@@ -187,8 +187,8 @@ def test_criterion_4_full_probe_search_is_exhaustive(criterion_report, small, sm
 
 def test_criterion_5_soar_decorrelates_residual_angles(criterion_report, big, big_indices):
     X, Q = big
-    p_naive = diagnostics(Q, X, big_indices["naive"], K).summary.pearson_cos
-    p_soar = diagnostics(Q, X, big_indices["soar"], K).summary.pearson_cos
+    p_naive = diagnostics(Q, big_indices["naive"], K).summary.pearson_cos
+    p_soar = diagnostics(Q, big_indices["soar"], K).summary.pearson_cos
     ok = p_naive > 0 and p_soar <= 0.7 * p_naive
     check(
         criterion_report, 5, ok,
@@ -201,7 +201,7 @@ def test_criterion_5_soar_decorrelates_residual_angles(criterion_report, big, bi
 def test_criterion_6_scan_cost_to_reach_recall(criterion_report, big, big_indices):
     X, Q = big
     dp = {
-        policy: datapoints_to_recall(kmr_curve(Q, X, idx, K), 0.90)
+        policy: datapoints_to_recall(kmr_curve(Q, idx, K), 0.90)
         for policy, idx in big_indices.items()
     }
     gain = dp["none"] / dp["soar"]
@@ -303,7 +303,7 @@ def test_criterion_10_curve_equals_rank_counting(criterion_report):
     exact = True
     for policy in ("none", "soar"):
         idx = build(X, c=10, policy=policy, s=2, seed=7, lam=1.0)
-        curve = kmr_curve(Q, X, idx, k=10)
+        curve = kmr_curve(Q, idx, k=10)
         want_x, want_r = oracle_curve(Q, X, idx, k=10)
         exact &= np.array_equal(curve.datapoints, want_x)
         exact &= np.array_equal(curve.recall, want_r)

@@ -257,8 +257,8 @@ answers = [
 ]
 print(hashlib.sha256(repr(answers).encode()).hexdigest())
 Qd = Dataset(Q.astype(np.float32))
-curve = kmr_curve(Qd, index.full_store, index, 10)
-diag = diagnostics(Qd, index.full_store, index, 10)
+curve = kmr_curve(Qd, index, 10)
+diag = diagnostics(Qd, index, 10)
 evaluation = [curve.datapoints, curve.recall]
 evaluation += [getattr(diag, f.name) for f in dataclasses.fields(diag) if f.name != "summary"]
 evaluation += [getattr(diag.summary, f.name) for f in dataclasses.fields(diag.summary)]

@@ -284,7 +284,7 @@ class TestBench:
         dps = {}
         for name in ("none", "soar"):
             idx = load(workspace / f"{name}.soar")
-            curve = kmr_curve(Q, idx.full_store, idx, 5, truth=fake)
+            curve = kmr_curve(Q, idx, 5, truth=fake)
             for target in (0.8, 0.85, 0.9, 0.95):
                 dps[name, target] = datapoints_to_recall(curve, target)
                 gain = dps["none", target] / dps[name, target]

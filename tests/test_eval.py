@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from soar.evaluation import (
     pearson,
     recall_at_k,
 )
-from soar.index import build
+from soar.index import build, deserialize, serialize
 from soar.vq import assign_spilled_naive
 
 
@@ -106,7 +108,7 @@ class TestKmrCurve:
     def test_equals_counting_oracle(self, instance, policy):
         X, Q = instance
         idx = build(X, c=10, policy=policy, s=2, seed=3, lam=1.0)
-        curve = kmr_curve(Q, X, idx, k=10)
+        curve = kmr_curve(Q, idx, k=10)
         want_x, want_r = oracle_kmr(Q, X, idx, k=10)
         np.testing.assert_array_equal(curve.datapoints, want_x)
         np.testing.assert_array_equal(curve.recall, want_r)
@@ -114,7 +116,7 @@ class TestKmrCurve:
     def test_shape_and_monotonicity(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="soar", s=2, seed=3)
-        curve = kmr_curve(Q, X, idx, k=10)
+        curve = kmr_curve(Q, idx, k=10)
         assert len(curve.recall) == len(curve.datapoints) == 10
         assert np.all(np.diff(curve.recall) >= 0)
         assert np.all(np.diff(curve.datapoints) > 0)
@@ -125,13 +127,13 @@ class TestKmrCurve:
     def test_single_partition(self, instance):
         X, Q = instance
         idx = build(X, c=1, policy="none", s=2, seed=3)
-        curve = kmr_curve(Q, X, idx, k=5)
+        curve = kmr_curve(Q, idx, k=5)
         assert curve.points == [(float(X.n), 1.0)]
 
     def test_datapoints_to_recall(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        curve = kmr_curve(Q, X, idx, k=10)
+        curve = kmr_curve(Q, idx, k=10)
         first_full = int(np.flatnonzero(curve.recall >= 1.0)[0])
         assert datapoints_to_recall(curve, 1.0) == float(curve.datapoints[first_full])
         tiny = float(curve.recall[0]) / 2
@@ -144,8 +146,8 @@ class TestKmrCurve:
     def test_supplied_truth_matches_computed(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="soar", s=2, seed=3)
-        want = kmr_curve(Q, X, idx, k=10)
-        got = kmr_curve(Q, X, idx, k=10, truth=ground_truth_ids(Q, X, 10).astype(np.int32))
+        want = kmr_curve(Q, idx, k=10)
+        got = kmr_curve(Q, idx, k=10, truth=ground_truth_ids(Q, X, 10).astype(np.int32))
         np.testing.assert_array_equal(got.datapoints, want.datapoints)
         np.testing.assert_array_equal(got.recall, want.recall)
 
@@ -155,7 +157,7 @@ class TestKmrCurve:
         X, Q = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
         truth = np.tile(idx.ids[idx.offsets[0] : idx.offsets[1]][:3].astype(np.int64), (Q.n, 1))
-        curve = kmr_curve(Q, X, idx, k=3, truth=truth)
+        curve = kmr_curve(Q, idx, k=3, truth=truth)
         centers = idx.codebook.centers.astype(np.float64)
         cs = np.array([centers @ q for q in Q.data.astype(np.float64)]).astype(np.float32)
         first = np.mean((cs >= cs[:, :1]).sum(axis=1) == 1)
@@ -166,13 +168,13 @@ class TestKmrCurve:
         X, Q = instance
         idx = build(X, c=4, policy="none", s=2, seed=3)
         with pytest.raises(ValueError, match="shape"):
-            kmr_curve(Q, X, idx, k=3, truth=np.zeros((Q.n, 4), dtype=np.int64))
+            kmr_curve(Q, idx, k=3, truth=np.zeros((Q.n, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="outside"):
-            kmr_curve(Q, X, idx, k=3, truth=np.full((Q.n, 3), X.n, dtype=np.int64))
+            kmr_curve(Q, idx, k=3, truth=np.full((Q.n, 3), X.n, dtype=np.int64))
 
     def test_datapoints_to_recall_bad_target(self, instance):
         X, Q = instance
-        curve = kmr_curve(Q, X, build(X, c=4, policy="none", s=2, seed=3), k=3)
+        curve = kmr_curve(Q, build(X, c=4, policy="none", s=2, seed=3), k=3)
         for target in (0.0, -0.1, 1.01):
             with pytest.raises(ValueError):
                 datapoints_to_recall(curve, target)
@@ -205,7 +207,7 @@ class TestDiagnostics:
     def test_record_count_and_ranges(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="soar", s=2, seed=3)
-        out = diagnostics(Q, X, idx, k=10)
+        out = diagnostics(Q, idx, k=10)
         for name in _COLUMNS:
             assert getattr(out, name).shape == (Q.n * 10,), name
         assert out.summary.num_records == Q.n * 10
@@ -220,7 +222,7 @@ class TestDiagnostics:
     def test_policy_none_has_no_spill_fields(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        out = diagnostics(Q, X, idx, k=5)
+        out = diagnostics(Q, idx, k=5)
         assert out.summary.pearson_cos is None
         assert out.summary.mean_rank_spilled is None
         assert out.cos_spilled is None
@@ -236,7 +238,7 @@ class TestDiagnostics:
         X = Dataset(rows)
         Q = Dataset(np.array([[1.0, 0.0]], dtype=np.float32))
         idx = build(X, c=2, policy="naive", s=2, seed=1)
-        out = diagnostics(Q, X, idx, k=10)
+        out = diagnostics(Q, idx, k=10)
         copies = out.neighbor_id < 30
         assert copies.any(), "query should retrieve the duplicated points"
         assert np.all(out.residual_norm[copies] == 0.0)
@@ -246,8 +248,8 @@ class TestDiagnostics:
     def test_supplied_truth_matches_computed(self, instance):
         X, Q = instance
         idx = build(X, c=10, policy="soar", s=2, seed=3)
-        want = diagnostics(Q, X, idx, k=6)
-        got = diagnostics(Q, X, idx, k=6, truth=ground_truth_ids(Q, X, 6).astype(np.int32))
+        want = diagnostics(Q, idx, k=6)
+        got = diagnostics(Q, idx, k=6, truth=ground_truth_ids(Q, X, 6).astype(np.int32))
         for name in _COLUMNS:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
         np.testing.assert_array_equal(got.summary.counts, want.summary.counts)
@@ -257,18 +259,44 @@ class TestDiagnostics:
         X, Q = instance
         idx = build(X, c=4, policy="none", s=2, seed=3)
         with pytest.raises(ValueError, match="shape"):
-            diagnostics(Q, X, idx, k=3, truth=np.zeros((Q.n, 4), dtype=np.int64))
+            diagnostics(Q, idx, k=3, truth=np.zeros((Q.n, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="outside"):
-            diagnostics(Q, X, idx, k=3, truth=np.full((Q.n, 3), X.n, dtype=np.int64))
+            diagnostics(Q, idx, k=3, truth=np.full((Q.n, 3), X.n, dtype=np.int64))
         with pytest.raises(ValueError, match="outside"):
-            diagnostics(Q, X, idx, k=3, truth=np.full((Q.n, 3), -1, dtype=np.int64))
+            diagnostics(Q, idx, k=3, truth=np.full((Q.n, 3), -1, dtype=np.int64))
 
     def test_rejects_zero_norm_query(self, instance):
         X, _ = instance
         idx = build(X, c=4, policy="none", s=2, seed=3)
         Q = Dataset(np.zeros((1, 8), dtype=np.float32))
         with pytest.raises(ValueError):
-            diagnostics(Q, X, idx, k=3)
+            diagnostics(Q, idx, k=3)
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["none", "naive", "soar"])
+def test_loaded_index_evaluates_the_same(instance, policy):
+    # evaluation needs nothing beyond what the index file stores
+    X, Q = instance
+    built = build(X, c=10, policy=policy, s=2, seed=3, lam=1.5)
+    loaded = deserialize(serialize(built))
+    want, got = kmr_curve(Q, built, k=10), kmr_curve(Q, loaded, k=10)
+    assert _same_bits(got.datapoints, want.datapoints)
+    assert _same_bits(got.recall, want.recall)
+    assert (got.k, got.policy, got.lam) == (want.k, want.policy, want.lam)
+    want, got = diagnostics(Q, built, k=10), diagnostics(Q, loaded, k=10)
+    for name in _COLUMNS:
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    for field in dataclasses.fields(want.summary):
+        g, w = getattr(got.summary, field.name), getattr(want.summary, field.name)
+        same = _same_bits(g, w) if isinstance(w, np.ndarray) else g == w
+        assert same, field.name
 
 
 class TestLambdaSweep:

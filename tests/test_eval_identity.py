@@ -248,7 +248,7 @@ def _with_centers(index, centers):
     """index with its codebook replaced; postings and assignment kept."""
     return SoarIndex(
         Codebook(centers), index.pq_book, index.offsets, index.ids, index.codes,
-        index.full_store, index.policy, index.lam, index.seed, assignment=index.assignment,
+        index.full_store, index.seed, assignment=index.assignment,
     )
 
 
@@ -271,7 +271,7 @@ def _bits_equal(got, want, dtype):
 
 
 def _assert_same_curve(Q, X, index, k, truth=None):
-    got = kmr_curve(Q, X, index, k, truth=truth)
+    got = kmr_curve(Q, index, k, truth=truth)
     want = reference_kmr_curve(Q, X, index, k, truth=truth)
     assert np.array_equal(got.datapoints, want.datapoints)
     assert np.array_equal(got.recall, want.recall)
@@ -281,7 +281,7 @@ def _assert_same_curve(Q, X, index, k, truth=None):
 
 
 def _assert_same_diagnostics(Q, X, index, k, truth=None):
-    got = diagnostics(Q, X, index, k, truth=truth)
+    got = diagnostics(Q, index, k, truth=truth)
     want = reference_diagnostics(Q, X, index, k, truth=truth)
     records = want.records
     # the columns run query-major, as the records do

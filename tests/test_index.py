@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import soar.index
 from soar.core import Dataset, brute_force_mips
 from soar.index import (
     HEADER_BYTES,
     IndexFormatError,
     SearchParams,
+    SoarIndex,
     build,
     deserialize,
     load,
@@ -17,6 +19,7 @@ from soar.index import (
     search,
     serialize,
 )
+from soar.vq import assign_primary
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,29 @@ class TestBuild:
         X, _ = small_data
         with pytest.raises(ValueError):
             build(X, c=4, policy="double", s=2, seed=0)
+
+    @pytest.mark.parametrize("policy, c, s, message", [
+        ("none", 4, 0, "s must be at least 1"),
+        ("soar", 4, 0, "s must be at least 1"),
+        ("naive", 1, 2, "spilled assignment needs at least 2 partitions"),
+        ("soar", 1, 2, "spilled assignment needs at least 2 partitions"),
+    ], ids=["s0-none", "s0-soar", "c1-naive", "c1-soar"])
+    def test_bad_sizes_fail_before_training(self, small_data, monkeypatch, policy, c, s, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_kmeans ran")
+
+        monkeypatch.setattr(soar.index, "train_kmeans", no_training)
+        with pytest.raises(ValueError, match=message):
+            build(small_data[0], c=c, policy=policy, s=s, seed=0)
+
+    def test_assignment_must_match_postings(self, small_data, indices):
+        # an unspilled table around spilled postings would write a file
+        # that deserialize rejects
+        idx = indices["soar"]
+        table = assign_primary(small_data[0], idx.codebook)
+        with pytest.raises(ValueError, match="assignment table"):
+            SoarIndex(idx.codebook, idx.pq_book, idx.offsets, idx.ids, idx.codes,
+                      idx.full_store, idx.seed, table)
 
     def test_single_partition_none_policy(self):
         rng = np.random.default_rng(73)

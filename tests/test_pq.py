@@ -167,8 +167,8 @@ class TestEstimateBound:
         if m % 2:
             packed[:, -1] &= 0x0F  # the pad nibble of odd m is always 0
         base = rng.standard_normal(5000) * scale
-        estimates, bound = estimate_scores(table, packed, m, base)
-        gap = np.abs(estimates - (base + score_codes(table, packed, m)))
+        estimates, bound = estimate_scores(table, packed, base)
+        gap = np.abs(estimates - (base + score_codes(table, packed)))
         assert 0 < bound < np.inf
         assert gap.max() > 0  # the two sums round differently somewhere
         assert np.all(gap <= bound)
@@ -176,7 +176,7 @@ class TestEstimateBound:
     def test_overflow_gives_no_bound(self):
         table = np.full((4, 16), 2e307)  # M = 8e307 is finite, 4 M is not
         packed = np.zeros((3, 2), dtype=np.uint8)
-        estimates, bound = estimate_scores(table, packed, 4, np.zeros(3))
+        estimates, bound = estimate_scores(table, packed, np.zeros(3))
         assert bound == np.inf
         np.testing.assert_array_equal(estimates, np.zeros(3))
 

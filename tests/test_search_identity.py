@@ -107,7 +107,7 @@ def test_score_codes_matches_reference(m):
     packed = rng.integers(0, 256, size=(3000, (m + 1) // 2), dtype=np.uint8)
     if m % 2:
         packed[:, -1] &= 0x0F  # the pad nibble of odd m is always 0
-    assert _bits(score_codes(table, packed, m)) == _bits(reference_score_codes(table, packed, m))
+    assert _bits(score_codes(table, packed)) == _bits(reference_score_codes(table, packed, m))
 
 
 def test_score_codes_matches_reference_on_trained_codes():
@@ -117,9 +117,9 @@ def test_score_codes_matches_reference_on_trained_codes():
         book = train_pq(X, s=s, seed=d)
         packed = pq_encode_batch(X, book)
         table = scoring_table(rng.standard_normal(d), book)
-        got = score_codes(table, packed, book.m)
+        got = score_codes(table, packed)
         assert _bits(got) == _bits(reference_score_codes(table, packed, book.m))
-        assert score_codes(table, packed[:0], book.m).shape == (0,)
+        assert score_codes(table, packed[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def _pool_ties(index, q, params) -> set:
     rows = np.concatenate([np.arange(index.offsets[p], index.offsets[p + 1]) for p in scan])
     base = np.repeat(center_scores[scan].astype(np.float64), lengths)
     table = scoring_table(qv, index.pq_book)
-    estimates, _ = estimate_scores(table, index.codes[rows], index.pq_book.m, base)
+    estimates, _ = estimate_scores(table, index.codes[rows], base)
     approx = base + reference_score_codes(table, index.codes[rows], index.pq_book.m)
     found = set()
     for name, scores in [("estimate", estimates), ("approximate", approx)]:
@@ -422,7 +422,7 @@ def _handmade(policy: str, partials: np.ndarray, nibbles: np.ndarray) -> SoarInd
                      offsets=np.arange(c + 1) * n, ids=np.tile(np.arange(n, dtype=np.uint32), c),
                      codes=np.tile(codes, (c, 1)),
                      full_store=Dataset([pq_decode(code, book) for code in codes]),
-                     policy=policy, lam=lam, seed=0, assignment=assignment)
+                     seed=0, assignment=assignment)
 
 
 def _needs_quantization_bound():
