@@ -29,17 +29,6 @@ score and sorting would give. An id has at most two entries, so the first
 2 x `rerank` entries hold at least `rerank` distinct ids, and those are
 the candidates a full dedup would rerank.
 
-Two-stage scan: when at least _FIRST_STAGE_FROM times the pool is scanned,
-`pq.estimate_scores` first estimates every scanned entry with one float64
-lookup per code byte, each estimate within B, the float64 rounding slack,
-of the entry's approximate score. Let q* be the pool-th best estimate and
-a* the pool-th best approximate score. The pool entries estimate at least
-q*, so they score at least q* - B, hence a* >= q* - B; an entry scoring
-at least a* then estimates at least a* - B >= q* - 2B. So keeping the
-entries that estimate at least q* - 2B keeps every entry that can reach
-the pool. Only those are scored, in scan order, and every later stage
-sees the same entries and the same bits.
-
 On-disk format (".soar", little-endian throughout), the CSR table as is:
 
     header   magic "SOAR", u16 version=2, u8 policy, u8 reserved,
@@ -69,11 +58,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, Neighbor, batch_inner_products, top_positions
-from .pq import PQCodebook, estimate_scores, pq_encode_batch, score_codes, scoring_table, train_pq
+from .pq import PQCodebook, pq_encode_batch, score_codes, scoring_table, train_pq
 from .vq import (
     AssignmentTable,
     Codebook,
     POLICIES,
+    _check_soar_lam,
     assign_primary,
     assign_spilled_naive,
     assign_spilled_soar,
@@ -101,15 +91,6 @@ _HEADER = struct.Struct("<4sHBBQIIIIIdq")
 HEADER_BYTES = _HEADER.size  # 52
 _POLICY_CODE = {"none": 0, "naive": 1, "soar": 2}
 _CODE_POLICY = {v: k for k, v in _POLICY_CODE.items()}
-# search estimates every scanned entry first, and scores exactly only those
-# that can reach the pool, when it scans at least this many times the pool.
-# The first stage has a fixed cost of about 0.1 ms. Probes sweeps, two-stage
-# against one-stage time per query (one BLAS thread, 2-vCPU host): on the
-# 100k shell index (k = 10, pool 200) they break even at about 18x the pool
-# (probes 6), 0.95 at 23x, 0.72 at 102x (probes 32); on 20k policy-eval
-# shaped indices (k = 100, pool 2,000 under soar, 1,000 under none) at
-# about 4.6x and 6x, and 1.07-1.19 at probes 8 (3x).
-_FIRST_STAGE_FROM = 20
 
 
 class IndexFormatError(ValueError):
@@ -246,8 +227,8 @@ def build(
     """Train and assemble an index over X. Deterministic for a given seed."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if policy == "soar" and lam < 0:
-        raise ValueError("lam must be non-negative")
+    if policy == "soar":
+        _check_soar_lam(lam)
     if s < 1:
         raise ValueError("s must be at least 1")
     if policy != "none" and c < 2:
@@ -310,17 +291,9 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     # primaries then its spills
     rows = np.arange(scanned) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     codes = np.take(index.codes, rows, axis=0)  # about 10x faster here than codes[rows]
-    base = np.repeat(center_scores[scan].astype(np.float64), lengths)
+    approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(table, codes)
     spilled = index.ids.shape[0] != index.n  # an id can have two entries
     pool = 2 * rerank if spilled else rerank
-    if scanned >= _FIRST_STAGE_FROM * pool:
-        # keep, in scan order, every entry whose approximate score can
-        # reach the pool (module docstring): estimate >= q* - 2 x bound
-        estimates, bound = estimate_scores(table, codes, base)
-        cut = scanned - pool
-        keep = np.flatnonzero(estimates >= np.partition(estimates, cut)[cut] - 2 * bound)
-        rows, codes, base = rows[keep], codes[keep], base[keep]
-    approx = base + score_codes(table, codes)
     ids = index.ids[rows]
     # the best `pool` entries by (approximate score desc, id asc); under a
     # spill each id keeps its first, and best, entry (module docstring). The

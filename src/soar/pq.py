@@ -4,8 +4,8 @@ Vectors are split into m = ceil(d / s) subspaces of s dimensions (the tail
 zero-padded when s does not divide d). Each subspace gets its own 16-center
 codebook trained with k-means, and a code stores one nibble per subspace,
 packed two per byte. Scoring goes through a per-query lookup table, so the
-approximate score of a code is exactly the inner product of the query with
-the decoded vector.
+approximate score of a code is the inner product of the query with the
+decoded vector, up to float64 rounding.
 """
 
 import math
@@ -26,7 +26,6 @@ __all__ = [
     "scoring_table",
     "pq_score",
     "score_codes",
-    "estimate_scores",
     "unpack_codes",
     "MemoryAccounting",
     "memory_accounting",
@@ -178,69 +177,24 @@ def pq_score(q, code, book: PQCodebook, table: np.ndarray | None = None) -> floa
     return float(np.float32(score_codes(table, np.asarray(code, dtype=np.uint8)[None, :])[0]))
 
 
-def _nibble_pairs(table: np.ndarray) -> np.ndarray:
-    """(code_bytes, 256, 2) float64 from an (m, 16) table: for each byte
-    position and byte value v = 16 * high + low, its low and high partial."""
-    m = table.shape[0]
-    code_bytes = (m + 1) // 2
-    pairs = np.zeros((code_bytes, SUBSPACE_CENTERS, SUBSPACE_CENTERS, 2))
-    pairs[..., 0] = table[0::2][:, None, :]
-    pairs[: m // 2, :, :, 1] = table[1::2][:, :, None]  # odd m: the pad nibble scores 0
-    return pairs.reshape(code_bytes, 256, 2)
-
-
 def score_codes(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
     """Lookup-table scores of a block of packed codes, for an (m, 16) table.
 
     Each code byte is looked up once, in a per-call table that holds, for
-    every byte value, the partial scores of its two nibbles side by side.
-    The gather lays the partial scores out exactly as indexing the (m, 16)
-    table by (subspace, nibble) would, so the row sums come out bit for bit
-    the same; only the number of lookups is halved and no unpacking is done.
-    """
-    code_bytes = packed.shape[1]
-    pairs = _nibble_pairs(table)
-    offsets = 256 * np.arange(code_bytes)
-    offsets = offsets.astype(np.min_scalar_type(offsets[-1] + 255))
-    # complex128 moves each pair of float64 partials as one item, bits unchanged
-    partials = np.take(pairs.view(np.complex128).ravel(), packed + offsets).view(np.float64)
-    return partials[:, : table.shape[0]].sum(axis=1)
-
-
-def estimate_scores(
-    table: np.ndarray, packed: np.ndarray, base: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Cheap estimates of base + score_codes(table, packed), and a bound B
-    that no estimate is further than from that float64 sum.
-
-    Each code byte's two nibble partials are summed into one float64 entry
-    per byte value. The block is transposed once, and a row's entries are
-    added column by column, then base: one lookup per code byte.
-
-    The two sides sum the same partials in different orders, so they differ
-    only by float64 rounding. With u = eps / 2 and M = max |base| + the sum
-    over subspaces of the largest |partial|, every partial sum on either
-    side is at most M in size, so each add rounds by at most u M to first
-    order. score_codes makes m - 1 adds and the add of base; the estimate
-    makes the pair sums (together within u M, as the pairs partition the
-    subspaces), code_bytes - 1 column adds and the add of base. So to first
-    order |estimate - approximate score| <= (m + code_bytes + 1) u M. Search
-    compares estimates with q* - 2B, which rounds once more. B = (m +
-    code_bytes + 13) eps M, more than twice all of that, also covers the
-    higher-order terms. When 4 M overflows no bound holds: every estimate
-    is 0 and B is infinite.
+    every byte position and byte value v = 16 * high + low, the float64 sum
+    of its low and its high nibble's partial score (the pad nibble of odd m
+    scores 0). The block is transposed once, and a row's entries are added
+    column by column, byte by byte from the left.
     """
     m, code_bytes = table.shape[0], packed.shape[1]
-    magnitude = float(max(base.max(), -base.min())) + float(np.abs(table).max(axis=1).sum())
-    if not math.isfinite(4 * magnitude):
-        return np.zeros(base.shape[0]), math.inf
-    pairs = _nibble_pairs(table)
-    byte = pairs[:, :, 0] + pairs[:, :, 1]
+    high = np.zeros((code_bytes, SUBSPACE_CENTERS))
+    high[: m // 2] = table[1::2]
+    byte = (table[0::2][:, None, :] + high[:, :, None]).reshape(code_bytes, 256)
     columns = np.ascontiguousarray(packed.T)
     total = byte[0].take(columns[0])
     for j in range(1, code_bytes):
         total += byte[j].take(columns[j])
-    return base + total, (m + code_bytes + 13) * np.finfo(np.float64).eps * magnitude
+    return total
 
 
 @dataclass(frozen=True)

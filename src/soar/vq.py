@@ -10,6 +10,7 @@ All distance work happens in float64 regardless of input dtype; emitted
 codebooks are float32. Ties break toward the lower partition id.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,12 @@ __all__ = [
 POLICIES = ("none", "naive", "soar")
 
 _CHUNK = 8192  # rows per block in pairwise-distance work; bounds peak memory
+
+
+def _check_soar_lam(lam) -> None:
+    """Raise unless lam is the finite lambda >= 0 a soar assignment needs."""
+    if lam is None or not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"policy 'soar' requires a finite lam >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,8 @@ class AssignmentTable:
     """Per-datapoint partition membership.
 
     primary[i] is always set; spilled[i] exists for the two-partition
-    policies and never equals primary[i].
+    policies and never equals primary[i]. lam is soar's finite lambda >= 0,
+    and None under the other policies.
     """
 
     primary: np.ndarray
@@ -91,8 +99,9 @@ class AssignmentTable:
                 raise ValueError("spilled assignment equals primary for some datapoint")
             object.__setattr__(self, "spilled", sp)
         if self.policy == "soar":
-            if self.lam is None or self.lam < 0:
-                raise ValueError("policy 'soar' requires lam >= 0")
+            _check_soar_lam(self.lam)
+        elif self.lam is not None:
+            raise ValueError(f"policy {self.policy!r} takes no lam, got {self.lam!r}")
 
     @property
     def n(self) -> int:
@@ -319,8 +328,7 @@ def assign_spilled_soar(
     X: Dataset, codebook: Codebook, primary: AssignmentTable, lam: float
 ) -> AssignmentTable:
     """Second partition per point minimizing the parallelism-penalized loss."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_soar_lam(lam)
     _check_spill_inputs(X, codebook, primary)
     spilled = _spill_argmin(X, codebook, primary, lam)
     return AssignmentTable(

@@ -128,6 +128,14 @@ class TestBuild:
                          "--lambda", "-2", "--out", "z.soar")
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda(self, workspace, capsys, lam):
+        # rejected before training, and no file is written
+        code, _, err = run(capsys, "build", "data.fvecs", "--policy", "soar",
+                           "--lambda", lam, "--out", "z.soar")
+        assert code == 2 and "finite lam" in err
+        assert not (workspace / "z.soar").exists()
+
     def test_config_file_with_flag_override(self, workspace, capsys):
         (workspace / "build.cfg").write_text("policy=naive\nc=5\nlambda=1.5\n")
         code, text, _ = run(capsys, "build", "data.fvecs", "--config", "build.cfg",

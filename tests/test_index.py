@@ -87,6 +87,15 @@ class TestBuild:
         with pytest.raises(ValueError, match=message):
             build(small_data[0], c=c, policy=policy, s=s, seed=0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_bad_lambda_fails_before_training(self, small_data, monkeypatch, lam):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_kmeans ran")
+
+        monkeypatch.setattr(soar.index, "train_kmeans", no_training)
+        with pytest.raises(ValueError, match="requires a finite lam >= 0"):
+            build(small_data[0], c=4, policy="soar", s=2, seed=0, lam=lam)
+
     def test_assignment_must_match_postings(self, small_data, indices):
         # an unspilled table around spilled postings would write a file
         # that deserialize rejects

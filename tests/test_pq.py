@@ -4,13 +4,11 @@ import pytest
 from soar.core import Dataset, inner_product
 from soar.pq import (
     PQCodebook,
-    estimate_scores,
     memory_accounting,
     pq_decode,
     pq_encode,
     pq_encode_batch,
     pq_score,
-    score_codes,
     scoring_table,
     train_pq,
     unpack_codes,
@@ -153,32 +151,6 @@ class TestPqScore:
         table = scoring_table(q, book)
         code = pq_encode(rows[0], book)
         assert pq_score(q, code, book, table=table) == pq_score(q, code, book)
-
-
-class TestEstimateBound:
-    """estimate_scores against the sum it estimates, base + score_codes."""
-
-    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
-    @pytest.mark.parametrize("m", [7, 8])
-    def test_every_estimate_within_bound(self, m, scale):
-        rng = np.random.default_rng(m)
-        table = rng.standard_normal((m, 16)) * scale  # mixed signs
-        packed = rng.integers(0, 256, size=(5000, (m + 1) // 2), dtype=np.uint8)
-        if m % 2:
-            packed[:, -1] &= 0x0F  # the pad nibble of odd m is always 0
-        base = rng.standard_normal(5000) * scale
-        estimates, bound = estimate_scores(table, packed, base)
-        gap = np.abs(estimates - (base + score_codes(table, packed)))
-        assert 0 < bound < np.inf
-        assert gap.max() > 0  # the two sums round differently somewhere
-        assert np.all(gap <= bound)
-
-    def test_overflow_gives_no_bound(self):
-        table = np.full((4, 16), 2e307)  # M = 8e307 is finite, 4 M is not
-        packed = np.zeros((3, 2), dtype=np.uint8)
-        estimates, bound = estimate_scores(table, packed, np.zeros(3))
-        assert bound == np.inf
-        np.testing.assert_array_equal(estimates, np.zeros(3))
 
 
 class TestMemoryAccounting:

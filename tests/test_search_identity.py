@@ -2,23 +2,29 @@
 
 The reference functions below are the original search and code scan, kept
 verbatim: they deduplicate and fully sort every scanned entry, and index
-the lookup table by (subspace, nibble). The library scans with one lookup
-per code byte and selects the probed partitions, the pool and the top k
-with `top_positions` instead of sorting. The pool is the best `rerank`
-entries, or 2 x `rerank` under a spill, where each id keeps only its first
-entry; the rerank candidates are the pool's first `rerank` ids. When it
-scans many times the pool, it first estimates every entry with one float64
-lookup per code byte and scores exactly only those that can reach the
-pool. Every SearchResult must stay the same, bit for bit.
+the lookup table by (subspace, nibble), adding the partials subspace by
+subspace. The library scans with one lookup per code byte, whose table
+entry sums the byte's two nibble partials, and adds the bytes left to
+right; it selects the probed partitions, the pool and the top k with
+`top_positions` instead of sorting. The pool is the best `rerank` entries,
+or 2 x `rerank` under a spill, where each id keeps only its first entry;
+the rerank candidates are the pool's first `rerank` ids.
+
+`score_codes` is held bit for bit to a per-row loop of its own summation
+order, and to the reference within float64 rounding. Every SearchResult
+must equal the reference's, bit for bit, on every grid, budget and k = n
+case, and on the cases that scan the whole index with rerank 1 (all
+probes, a zero query, a query x 1e6, a budget). One hand-built index puts
+2^52 in one subspace, so that the two summation orders round apart: there
+search answers the entry the byte order ranks first, and the reference
+another entry with the same float32 exact score.
 """
 
 import numpy as np
 import pytest
 
-import soar.index
 from soar.core import _SELECT_FROM, Dataset, Neighbor, batch_inner_products, top_positions
 from soar.index import (
-    _FIRST_STAGE_FROM,
     SearchParams,
     SearchResult,
     SoarIndex,
@@ -28,7 +34,6 @@ from soar.index import (
 )
 from soar.pq import (
     PQCodebook,
-    estimate_scores,
     pq_decode,
     pq_encode_batch,
     score_codes,
@@ -91,11 +96,40 @@ def reference_search(index, q, params: SearchParams) -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# score_codes == reference
+# score_codes == its own order, and the reference within rounding
 
 
 def _bits(x: np.ndarray) -> bytes:
     return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+def byte_order_scores(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """score_codes one row at a time: per byte, the low nibble's partial plus
+    the high nibble's (0 for the pad nibble of odd m), then the bytes added
+    left to right."""
+    m = table.shape[0]
+    out = np.empty(packed.shape[0])
+    for i, row in enumerate(packed.tolist()):
+        total = None
+        for j, byte in enumerate(row):
+            high = float(table[2 * j + 1, byte >> 4]) if 2 * j + 1 < m else 0.0
+            pair = float(table[2 * j, byte & 0x0F]) + high
+            total = pair if total is None else total + pair
+        out[i] = total
+    return out
+
+
+def _assert_scores(table: np.ndarray, packed: np.ndarray):
+    m, code_bytes = table.shape[0], packed.shape[1]
+    got = score_codes(table, packed)
+    assert _bits(got) == _bits(byte_order_scores(table, packed))
+    # the reference adds the same partials subspace by subspace: each of
+    # the m - 1 adds on its side and the m // 2 + code_bytes - 1 on this
+    # side rounds by at most eps / 2 times the sum of the row's |partials|
+    nibbles = unpack_codes(packed, m)
+    magnitude = np.abs(table[np.arange(m)[None, :], nibbles]).sum(axis=1)
+    gap = np.abs(got - reference_score_codes(table, packed, m))
+    assert np.all(gap <= (m + code_bytes) * np.finfo(np.float64).eps * magnitude)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 32, 33])
@@ -107,7 +141,7 @@ def test_score_codes_matches_reference(m):
     packed = rng.integers(0, 256, size=(3000, (m + 1) // 2), dtype=np.uint8)
     if m % 2:
         packed[:, -1] &= 0x0F  # the pad nibble of odd m is always 0
-    assert _bits(score_codes(table, packed)) == _bits(reference_score_codes(table, packed, m))
+    _assert_scores(table, packed)
 
 
 def test_score_codes_matches_reference_on_trained_codes():
@@ -117,8 +151,7 @@ def test_score_codes_matches_reference_on_trained_codes():
         book = train_pq(X, s=s, seed=d)
         packed = pq_encode_batch(X, book)
         table = scoring_table(rng.standard_normal(d), book)
-        got = score_codes(table, packed)
-        assert _bits(got) == _bits(reference_score_codes(table, packed, book.m))
+        _assert_scores(table, packed)
         assert score_codes(table, packed[:0]).shape == (0,)
 
 
@@ -243,8 +276,8 @@ def _ties_at_cuts(index, q, params) -> set:
     lengths = index.offsets[scan + 1] - index.offsets[scan]
     rows = np.concatenate([np.arange(index.offsets[p], index.offsets[p + 1]) for p in scan])
     ids = index.ids[rows].astype(np.int64)
-    approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + reference_score_codes(
-        scoring_table(qv, index.pq_book), index.codes[rows], index.pq_book.m
+    approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
+        scoring_table(qv, index.pq_book), index.codes[rows]
     )
     found = set()
     spilled = index.ids.shape[0] != index.n
@@ -320,89 +353,61 @@ def test_k_equals_n(dataset):
 
 
 # ---------------------------------------------------------------------------
-# the first stage: which searches take it, ties at the pool, and indices
-# built so that its bound is needed
-
-
-@pytest.fixture
-def first_stage_calls(monkeypatch):
-    """A list that gets the entry count of each call search makes to
-    estimate_scores."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1].shape[0])
-        return estimate_scores(*args)
-
-    monkeypatch.setattr(soar.index, "estimate_scores", counted)
-    return calls
-
-
-def _pool(index, params) -> int:
-    return params.resolved_rerank() * (2 if index.ids.shape[0] != index.n else 1)
+# searches that scan the whole index, or half of it, with rerank 1; and
+# indices built so that one summation order or table resolution would
+# rank two entries apart
 
 
 def _first_stage_cases(index, Q):
-    """(name, queries, params, whether the first stage runs)."""
+    """(name, queries, params): scans of every entry, or of half of them,
+    with rerank 1, and two that scan under 20 x the pool; the cases that
+    took, and fell below, the gate of a former two-stage scan."""
     entries = int(index.offsets[-1])
     everything = SearchParams(k=10, probes=index.c, rerank=1)
     return [
-        ("all probes", Q, everything, True),
-        ("zero query", np.zeros((1, index.d)), everything, True),
-        ("query x 1e6", Q[:2] * 1e6, everything, True),
-        ("budget", Q, SearchParams(k=5, budget=entries // 2, rerank=1), True),
-        ("default rerank", Q, SearchParams(k=10, probes=index.c), False),
-        ("one probe", Q, SearchParams(k=1, probes=1, rerank=entries), False),
+        ("all probes", Q, everything),
+        ("zero query", np.zeros((1, index.d)), everything),
+        ("query x 1e6", Q[:2] * 1e6, everything),
+        ("budget", Q, SearchParams(k=5, budget=entries // 2, rerank=1)),
+        ("default rerank", Q, SearchParams(k=10, probes=index.c)),
+        ("one probe", Q, SearchParams(k=1, probes=1, rerank=entries)),
     ]
 
 
-def test_first_stage_cases(dataset, first_stage_calls):
+def test_first_stage_cases(dataset):
     Q, built = dataset
-    for policy, index in built.items():
-        for name, queries, params, runs in _first_stage_cases(index, Q):
-            first_stage_calls.clear()
+    for index in built.values():
+        for _, queries, params in _first_stage_cases(index, Q):
             _assert_same(index, queries, params)
-            estimated = list(first_stage_calls)
-            scanned = [search(index, q, params).datapoints_scanned for q in queries]
-            gate = _FIRST_STAGE_FROM * _pool(index, params)
-            assert [count >= gate for count in scanned] == [runs] * len(queries), (policy, name)
-            # the first stage estimates every scanned entry, or does not run
-            assert estimated == (scanned if runs else []), (policy, name)
 
 
-def _pool_ties(index, q, params) -> set:
-    """Which scores tie across the pool-th place among all scanned entries,
-    when search takes the first stage: "estimate" and "approximate"."""
+def _ties_at_pool(index, q, params) -> bool:
+    """Whether approximate scores of the scanned entries tie across the
+    pool-th place (2 x rerank under a spill)."""
     qv = np.asarray(q, dtype=np.float64)
     center_scores = (index.codebook.centers.astype(np.float64) @ qv).astype(np.float32)
     scan = _partitions_to_scan(index, np.lexsort((np.arange(index.c), -center_scores)), params)
     lengths = index.offsets[scan + 1] - index.offsets[scan]
-    pool = _pool(index, params)
-    if lengths.sum() < _FIRST_STAGE_FROM * pool:
-        return set()
+    pool = params.resolved_rerank() * (2 if index.ids.shape[0] != index.n else 1)
+    if lengths.sum() <= pool:
+        return False
     rows = np.concatenate([np.arange(index.offsets[p], index.offsets[p + 1]) for p in scan])
-    base = np.repeat(center_scores[scan].astype(np.float64), lengths)
-    table = scoring_table(qv, index.pq_book)
-    estimates, _ = estimate_scores(table, index.codes[rows], base)
-    approx = base + reference_score_codes(table, index.codes[rows], index.pq_book.m)
-    found = set()
-    for name, scores in [("estimate", estimates), ("approximate", approx)]:
-        ranked = np.sort(scores)[::-1]
-        if ranked[pool - 1] == ranked[pool]:
-            found.add(name)
-    return found
+    approx = np.repeat(center_scores[scan].astype(np.float64), lengths) + score_codes(
+        scoring_table(qv, index.pq_book), index.codes[rows]
+    )
+    ranked = np.sort(approx)[::-1]
+    return bool(ranked[pool - 1] == ranked[pool])
 
 
 @pytest.mark.parametrize("name", ["duplicates", "lattice"])
 def test_first_stage_meets_ties_at_the_pool(name):
+    # the whole-index cases are only as strong as the ties they meet at
+    # the pool's cut, for every policy
     X, Q, c, s = DATA[name]
-    found = set()
     for policy in ("none", "naive", "soar"):
         index = build(Dataset(X), c=c, policy=policy, s=s, seed=3, lam=1.0)
-        for _, queries, params, _ in _first_stage_cases(index, Q):
-            for q in queries:
-                found |= _pool_ties(index, q, params)
-    assert found == {"estimate", "approximate"}
+        assert any(_ties_at_pool(index, q, params)
+                   for _, queries, params in _first_stage_cases(index, Q) for q in queries), policy
 
 
 def _handmade(policy: str, partials: np.ndarray, nibbles: np.ndarray) -> SoarIndex:
@@ -414,10 +419,9 @@ def _handmade(policy: str, partials: np.ndarray, nibbles: np.ndarray) -> SoarInd
     book = PQCodebook(partials[:, :, None], d=m)
     codes = (nibbles[:, 0::2] | nibbles[:, 1::2] << 4).astype(np.uint8)
     c = 1 if policy == "none" else 2
-    lam = 1.0 if policy == "soar" else 0.0
     assignment = AssignmentTable(np.zeros(n, dtype=np.int32),
                                  None if c == 1 else np.ones(n, dtype=np.int32),
-                                 policy, lam if policy == "soar" else None)
+                                 policy, 1.0 if policy == "soar" else None)
     return SoarIndex(codebook=Codebook(np.zeros((c, m))), pq_book=book,
                      offsets=np.arange(c + 1) * n, ids=np.tile(np.arange(n, dtype=np.uint32), c),
                      codes=np.tile(codes, (c, 1)),
@@ -429,43 +433,48 @@ def _needs_quantization_bound():
     # m = 6, s = 1, q = 1: byte b's entries are subspace 2b's centers, one
     # of them 65535. Entry 0 (10.49 x 3 = 31.47) scores above entry 1
     # (10.51 + 10.51 + 9.51 = 30.53) by 0.94, under 1e-5 of the table's
-    # range: a first stage whose error grew with that range, as one on
-    # 16-bit levels of the table would, could drop entry 0.
+    # range: a scan whose error grew with that range, as one on 16-bit
+    # levels of the table would, could rank entry 1 first.
     partials = np.zeros((6, 16), dtype=np.float32)
     partials[0::2, 1:5] = [65535.0, 10.49, 10.51, 9.51]
-    nibbles = np.zeros((2 * _FIRST_STAGE_FROM, 6), dtype=np.uint8)
+    nibbles = np.zeros((40, 6), dtype=np.uint8)
     nibbles[0] = [2, 0, 2, 0, 2, 0]
     nibbles[1] = [3, 0, 3, 0, 4, 0]
-    return partials, nibbles, np.ones(6)
+    return partials, nibbles, np.ones(6), 0
 
 
-def _needs_rounding_slack():
+def _rounds_apart():
     # m = 4, s = 1: subspace 2 scores 2^52 for every code, where float64
-    # steps are 1. score_codes sums the partials left to right, ((t0 + t1)
-    # + 2^52) + t3; the estimate sums byte by byte, (t0 + t1) + (2^52 + t3);
-    # so each rounds at its own place. Entry 1 (t0 = 0.5, t3 = 0.75) scores
-    # 2^52 + 1 but estimates 2^52 + 2; entry 0 (t3 = 1) scores and
-    # estimates 2^52 + 1. The exact scores tie, and only the rounding slack
-    # in B keeps entry 0.
+    # steps are 1. The reference sums the partials subspace by subspace,
+    # ((t0 + t1) + 2^52) + t3; score_codes byte by byte, (t0 + t1) + (2^52
+    # + t3); so each rounds at its own place. Entry 1 (t0 = 0.5, t3 = 0.75)
+    # scores 2^52 + 1 in the reference but 2^52 + 2 in score_codes; entry 0
+    # (t3 = 1) scores 2^52 + 1 in both. Their float32 exact scores tie, so
+    # with k = rerank = 1 the reference answers 0 and search answers 1.
     partials = np.zeros((4, 16), dtype=np.float32)
     partials[0, 1] = 0.5
     partials[2] = 2.0**24
     partials[3, 1:3] = [0.75, 1.0]
-    nibbles = np.zeros((2 * _FIRST_STAGE_FROM, 4), dtype=np.uint8)
+    nibbles = np.zeros((40, 4), dtype=np.uint8)
     nibbles[0] = [0, 0, 0, 2]
     nibbles[1] = [1, 0, 0, 1]
-    return partials, nibbles, np.array([1.0, 1.0, 2.0**28, 1.0])
+    return partials, nibbles, np.array([1.0, 1.0, 2.0**28, 1.0]), 1
 
 
 @pytest.mark.parametrize("policy", ["none", "naive", "soar"])
-@pytest.mark.parametrize("case", [_needs_quantization_bound, _needs_rounding_slack],
+@pytest.mark.parametrize("case", [_needs_quantization_bound, _rounds_apart],
                          ids=["levels", "rounding"])
-def test_first_stage_keeps_what_its_bound_must(case, policy, first_stage_calls):
-    # Entry 0 is the answer (k = rerank = 1). In the rounding case the first
-    # stage would drop it with B = 0; the levels case keeps entry 0 first.
-    partials, nibbles, q = case()
+def test_first_stage_keeps_what_its_bound_must(case, policy):
+    # k = rerank = 1, so the answer is the entry ranked first by
+    # approximate score
+    partials, nibbles, q, answer = case()
     index = _handmade(policy, partials, nibbles)
     params = SearchParams(k=1, probes=2, rerank=1)
-    assert [nb.id for nb in reference_search(index, q, params).neighbors] == [0]
-    _assert_same(index, [q], params)
-    assert first_stage_calls
+    want = reference_search(index, q, params)
+    got = search(index, q, params)
+    assert [nb.id for nb in want.neighbors] == [0]
+    assert [nb.id for nb in got.neighbors] == [answer]
+    assert got.datapoints_scanned == want.datapoints_scanned
+    assert got.neighbors[0].score == want.neighbors[0].score
+    if answer == 0:
+        _assert_same(index, [q], params)

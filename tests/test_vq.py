@@ -240,6 +240,13 @@ class TestAssignSpilledSoar:
             means.append(float((res**2).sum(axis=1).mean()))
         assert means[0] <= means[1] <= means[2]
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lambda(self, lam):
+        X = Dataset(_GEO_X)
+        book = Codebook(_GEO_CENTERS)
+        with pytest.raises(ValueError, match="requires a finite lam >= 0"):
+            assign_spilled_soar(X, book, assign_primary(X, book), lam)
+
     def test_requires_two_partitions(self):
         X = Dataset(np.ones((3, 2)))
         book = Codebook(np.ones((1, 2)))
@@ -294,3 +301,16 @@ class TestAssignmentTable:
     def test_soar_requires_lambda(self):
         with pytest.raises(ValueError):
             AssignmentTable(primary=np.array([0]), spilled=np.array([1]), policy="soar")
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_soar_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="requires a finite lam >= 0"):
+            AssignmentTable(primary=np.array([0]), spilled=np.array([1]), policy="soar", lam=lam)
+
+    def test_naive_rejects_lambda(self):
+        with pytest.raises(ValueError, match="takes no lam"):
+            AssignmentTable(primary=np.array([0]), spilled=np.array([1]), policy="naive", lam=1.0)
+
+    def test_none_rejects_lambda(self):
+        with pytest.raises(ValueError, match="takes no lam"):
+            AssignmentTable(primary=np.array([0]), spilled=None, policy="none", lam=0.0)
