@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import sys
 import time
 from pathlib import Path
@@ -52,13 +53,15 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _float_list(text: str) -> list[float]:
+def _lambda_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise argparse.ArgumentTypeError(f"expected finite lambdas >= 0, got {text!r}")
     return values
 
 
@@ -508,7 +511,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = add_parser("verify", help="Monte Carlo checks of the spill objective")
     p.add_argument("--d", type=int, default=32)
-    p.add_argument("--lambdas", type=_float_list, default=[0.0, 1.0, 2.0])
+    p.add_argument("--lambdas", type=_lambda_list, default=[0.0, 1.0, 2.0])
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)

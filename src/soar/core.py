@@ -34,14 +34,19 @@ class Dataset:
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float32, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"need at least one row and one column, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("dataset contains NaN or Inf values")
         arr.setflags(write=False)
-        self.data = arr
+        self.data = _checked_rows(arr)
+
+    @classmethod
+    def _view(cls, arr: np.ndarray) -> "Dataset":
+        """A Dataset over arr itself, without the constructor's copy: for
+        arrays nobody can write to, such as a view of a read-only file
+        mapping. Same shape and finite checks as the constructor."""
+        if arr.dtype != np.float32 or arr.flags.writeable or not arr.flags.c_contiguous:
+            raise TypeError("Dataset._view needs a read-only, C-contiguous float32 array")
+        dataset = cls.__new__(cls)
+        dataset.data = _checked_rows(arr)
+        return dataset
 
     @property
     def n(self) -> int:
@@ -59,6 +64,17 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
+
+
+def _checked_rows(arr: np.ndarray) -> np.ndarray:
+    """arr, once it is a non-empty 2-D array of finite values."""
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"need at least one row and one column, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("dataset contains NaN or Inf values")
+    return arr
 
 
 @dataclass(frozen=True, order=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Neighbor, top_positions
-from .vq import assign_spilled_soar, soar_loss
+from .vq import _check_soar_lam, assign_spilled_soar, soar_loss
 
 __all__ = [
     "KmrCurve",
@@ -352,8 +352,7 @@ def mc_verify_theorem1(r, r_primes, lam: float, samples: int, seed=0) -> Theorem
     """Estimate E[|cos(q, r)|^lam * <q, r'>^2] over unit-sphere queries for
     each spill candidate r' and compare candidate ratios against the closed
     form. Ratios cancel the dimension-dependent constant."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_soar_lam(lam)
     if samples < MIN_THEOREM_SAMPLES:
         raise ValueError(f"need at least {MIN_THEOREM_SAMPLES} samples, got {samples}")
     rv = np.asarray(r, dtype=np.float64)

@@ -47,9 +47,18 @@ one holding it in a primary run, its spill the one holding it in a spill
 run. A spilled build's file is exactly n * (4 + code_bytes) bytes larger
 than an unspilled one, with an identical header. Version 1 files are
 rejected and must be rebuilt.
+
+`load` maps the file read-only instead of reading it, and the index's ids,
+codes and full store are read-only views of the mapping, which the index
+keeps alive. The full store is copied instead when E * code_bytes is not a
+multiple of 4, which leaves its floats unaligned. Never truncate or rewrite a loaded file in place: the process
+serving it would get SIGBUS on its next read. `save` never does, since it
+replaces the file atomically (`write_atomic`), and a process serving the
+old file keeps reading the old bytes.
 """
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -340,8 +349,11 @@ def serialize(index: SoarIndex) -> bytes:
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)  # sections are sliced without a copy
+    def __init__(self, data):
+        view = memoryview(data)  # sections are sliced without a copy
+        # the index's arrays are views of these bytes, so a buffer the caller
+        # can still write to is copied once
+        self.data = view if view.readonly else memoryview(bytes(view))
         self.pos = 0
 
     def take(self, count: int, section: str) -> memoryview:
@@ -353,8 +365,14 @@ class _Cursor:
         return self.data[self.pos - count : self.pos]
 
 
-def deserialize(data: bytes) -> SoarIndex:
-    """Parse bytes produced by serialize, validating each section."""
+def deserialize(data) -> SoarIndex:
+    """Parse bytes produced by serialize, validating each section.
+
+    data is any buffer: bytes, a read-only mapping, or a writable buffer,
+    which is copied first. The index's ids, codes and (when aligned, see
+    the module docstring) full store are read-only views of that buffer,
+    so the index keeps it alive.
+    """
     cur = _Cursor(data)
     raw = cur.take(HEADER_BYTES, "header")
     magic, version, policy_code, _, n, d, c, s, m, code_bytes, lam, seed = _HEADER.unpack(raw)
@@ -398,10 +416,10 @@ def deserialize(data: bytes) -> SoarIndex:
     offsets = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=1, dtype=np.int64), out=offsets[1:])
     total = int(offsets[-1])
-    # copies, so the loaded index does not keep the file's bytes alive
-    ids = np.frombuffer(cur.take(4 * total, "posting lists"), dtype="<u4").astype(np.uint32)
+    # views, not copies: the index keeps its buffer or mapping alive
+    ids = np.frombuffer(cur.take(4 * total, "posting lists"), dtype="<u4")
     codes = np.frombuffer(cur.take(code_bytes * total, "posting lists"), dtype=np.uint8)
-    codes = codes.reshape(total, code_bytes).copy()
+    codes = codes.reshape(total, code_bytes)
     # run r is partition r // 2's primaries (r even) or spills (r odd)
     runs = np.repeat(np.arange(2 * c), counts.ravel())
     out_of_range = ids >= n
@@ -428,9 +446,15 @@ def deserialize(data: bytes) -> SoarIndex:
     if spilled is not None and np.any(spilled == primary):
         raise IndexFormatError("posting lists", "an id's primary and spill share a partition")
 
-    full_store = read_f32("full store", (n, d), Dataset)
-    if cur.pos != len(data):
-        raise IndexFormatError("full store", f"{len(data) - cur.pos} trailing bytes")
+    def store(arr: np.ndarray) -> Dataset:
+        """The full store as a view, unless it starts off a 4-byte boundary
+        (when E * code_bytes is not a multiple of 4): numpy would copy an
+        unaligned array on every matrix product, so it is copied once here."""
+        return Dataset._view(arr) if arr.flags.aligned else Dataset(arr)
+
+    full_store = read_f32("full store", (n, d), store)
+    if cur.pos != len(cur.data):
+        raise IndexFormatError("full store", f"{len(cur.data) - cur.pos} trailing bytes")
 
     return SoarIndex(
         codebook=codebook,
@@ -467,5 +491,9 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def load(path) -> SoarIndex:
+    """Map the file read-only and deserialize it; the index's ids, codes
+    and full store are views of the mapping (module docstring)."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        if os.fstat(fh.fileno()).st_size == 0:
+            return deserialize(b"")  # mmap refuses an empty file; this fails as truncated
+        return deserialize(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))

@@ -35,7 +35,8 @@ _CHUNK = 8192  # rows per block in pairwise-distance work; bounds peak memory
 
 
 def _check_soar_lam(lam) -> None:
-    """Raise unless lam is the finite lambda >= 0 a soar assignment needs."""
+    """Raise unless lam is the finite lambda >= 0 that soar's spill loss
+    needs (assignment, soar_loss and the Monte Carlo check of Theorem 1)."""
     if lam is None or not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"policy 'soar' requires a finite lam >= 0, got {lam!r}")
 
@@ -272,8 +273,7 @@ def soar_loss(r_prime, r, lam: float) -> float:
     primary residual r. A zero primary residual contributes no penalty:
     the primary representation is exact, so any spill direction is fine.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    _check_soar_lam(lam)
     rp = np.asarray(r_prime, dtype=np.float64)
     rv = np.asarray(r, dtype=np.float64)
     if rp.shape != rv.shape or rp.ndim != 1:

@@ -206,6 +206,18 @@ class TestSearch:
         assert "at least 1" in err
         assert not (workspace / "res.csv").exists()
 
+    @pytest.mark.parametrize("name, message", [
+        ("empty.soar", "header: truncated: wanted 52 bytes, 0 left"),
+        ("missing.soar", "No such file"),
+        ("folder", "Is a directory"),
+    ])
+    def test_unreadable_index(self, workspace, capsys, name, message):
+        (workspace / "empty.soar").write_bytes(b"")
+        (workspace / "folder").mkdir()
+        code, _, err = run(capsys, "search", name, "queries.fvecs")
+        assert code == 2
+        assert message in err
+
     def test_corrupt_index(self, workspace, capsys):
         (workspace / "broken.soar").write_bytes(b"SOAR but not really")
         code, _, err = run(capsys, "search", "broken.soar", "queries.fvecs")
@@ -444,6 +456,18 @@ class TestVerify:
         assert "--lambdas" in err
         (tmp_path / "v.cfg").write_text("lambdas=\n")
         assert run(capsys, *args, "--config", str(tmp_path / "v.cfg"))[0] == 1
+
+    @pytest.mark.parametrize("lambdas", ["nan", "inf", "-1", "0,1,nan"])
+    def test_rejects_invalid_lambdas(self, tmp_path, capsys, lambdas):
+        """Rejected while parsing, before any output, from a flag or a config file."""
+        args = ("verify", "--d", "4", "--pairs", "1", "--samples", "100000")
+        code, text, err = run(capsys, *args, f"--lambdas={lambdas}")
+        assert (code, text) == (1, "")
+        assert "--lambdas" in err and "finite" in err
+        (tmp_path / "v.cfg").write_text(f"lambdas={lambdas}\n")
+        code, text, err = run(capsys, *args, "--config", str(tmp_path / "v.cfg"))
+        assert (code, text) == (1, "")
+        assert "--lambdas" in err and "finite" in err
 
     def test_rejects_small_samples(self, capsys):
         code, _, err = run(capsys, "verify", "--samples", "5000")

@@ -407,6 +407,11 @@ class TestTheoremMc:
         with pytest.raises(ValueError):
             mc_verify_theorem1(r, np.eye(5)[:2], 1.0, MIN_THEOREM_SAMPLES)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(ValueError, match="requires a finite lam >= 0"):
+            mc_verify_theorem1(np.ones(4), np.eye(4)[:2], lam, MIN_THEOREM_SAMPLES)
+
 
 class TestLemmaMc:
     def test_identical_vectors_give_unit_correlation(self):

@@ -1,3 +1,4 @@
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -418,6 +419,82 @@ class TestLoadReadsAssignment:
                 ids = idx.ids[idx.offsets[p] : idx.offsets[p + 1]]
                 primaries = np.sort(np.flatnonzero(idx.assignment.primary == p))
                 np.testing.assert_array_equal(ids[: primaries.size], primaries)
+
+
+def _mapping(arr: np.ndarray):
+    """The object that owns arr's memory, found through its .base chain."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+class TestMappedLoad:
+    """load maps the file read-only and serves ids, codes and the full store
+    as views of the mapping."""
+
+    @pytest.mark.parametrize("policy", ["none", "naive", "soar"])
+    def test_arrays_are_views_of_one_mapping(self, indices, tmp_path, policy):
+        path = tmp_path / "x.soar"
+        save(indices[policy], path)
+        out = load(path)
+        arrays = (out.ids, out.codes, out.full_store.data)
+        mapping = _mapping(out.ids)
+        assert isinstance(mapping, mmap.mmap)
+        whole = np.frombuffer(mapping, dtype=np.uint8)
+        for arr in arrays:
+            assert _mapping(arr) is mapping
+            assert np.shares_memory(arr, whole)
+        assert serialize(out) == path.read_bytes()
+
+    def test_unaligned_full_store_is_copied(self, tmp_path):
+        """With 61 entries of 1 code byte the full store starts 1 byte off a
+        4-byte boundary; it is then copied, aligned and read-only, and ids
+        and codes stay views."""
+        X = Dataset(np.random.default_rng(4).standard_normal((61, 6)).astype(np.float32))
+        built = build(X, c=4, policy="none", s=4, seed=1)
+        assert built.pq_book.code_bytes == 1
+        path = tmp_path / "x.soar"
+        save(built, path)
+        out = load(path)
+        store = out.full_store.data
+        assert store.flags.aligned and not store.flags.writeable and store.base is None
+        assert isinstance(_mapping(out.ids), mmap.mmap) and _mapping(out.codes) is _mapping(out.ids)
+        assert serialize(out) == path.read_bytes()
+        params = SearchParams(k=3, probes=4)
+        for q in np.random.default_rng(5).standard_normal((5, 6)):
+            assert search(out, q, params).neighbors == search(built, q, params).neighbors
+
+    def test_arrays_refuse_writes(self, indices, tmp_path):
+        path = tmp_path / "x.soar"
+        save(indices["soar"], path)
+        out = load(path)
+        for arr in (out.ids, out.codes, out.full_store.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+    def test_served_index_survives_save_over_its_path(self, small_data, indices, tmp_path):
+        _, Q = small_data
+        path = tmp_path / "x.soar"
+        save(indices["soar"], path)
+        served = load(path)
+        params = SearchParams(k=5, probes=3)
+        before = [search(served, q, params).neighbors for q in Q]
+        blob = serialize(served)
+        save(indices["none"], path)  # replaces the file the index is mapped from
+        assert [search(served, q, params).neighbors for q in Q] == before
+        assert serialize(served) == blob
+        assert serialize(load(path)) == serialize(indices["none"])
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda blob: memoryview(bytearray(blob))],
+                             ids=["bytearray", "memoryview"])
+    def test_writable_buffer_is_copied(self, indices, wrap):
+        idx = indices["soar"]
+        buf = wrap(serialize(idx))
+        out = deserialize(buf)
+        buf[HEADER_BYTES:] = bytes(len(buf) - HEADER_BYTES)  # zero everything after the header
+        assert serialize(out) == serialize(idx)
 
 
 class TestCraftedPostings:

@@ -138,6 +138,11 @@ class TestSoarLoss:
         with pytest.raises(ValueError):
             soar_loss([1.0], [1.0], lam=-0.1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        with pytest.raises(ValueError, match="requires a finite lam >= 0"):
+            soar_loss(np.ones(3), np.ones(3), lam)
+
     def test_lower_bounded_by_squared_norm(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
