@@ -6,15 +6,7 @@ carry 4-bit product-quantized residual codes; search reranks survivors with
 exact scores.
 """
 
-from .core import (
-    Dataset,
-    Neighbor,
-    brute_force_mips,
-    cos_angle,
-    inner_product,
-    rank,
-    residual,
-)
+from .core import Dataset, Neighbor, brute_force_mips, rank
 from .evaluation import (
     datapoints_to_recall,
     diagnostics,
@@ -36,7 +28,7 @@ from .index import (
     search,
     serialize,
 )
-from .pq import PQCodebook, memory_accounting, pq_decode, pq_encode, pq_score, train_pq
+from .pq import PQCodebook, memory_accounting, pq_decode, train_pq
 from .vq import (
     AssignmentTable,
     Codebook,
@@ -52,11 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "Neighbor",
-    "inner_product",
     "brute_force_mips",
     "rank",
-    "residual",
-    "cos_angle",
     "Codebook",
     "AssignmentTable",
     "train_kmeans",
@@ -66,9 +55,7 @@ __all__ = [
     "assign_spilled_naive",
     "PQCodebook",
     "train_pq",
-    "pq_encode",
     "pq_decode",
-    "pq_score",
     "memory_accounting",
     "SoarIndex",
     "SearchParams",

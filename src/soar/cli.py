@@ -169,8 +169,8 @@ def cmd_synth(args) -> int:
     cfg = _config(args)
     if cfg["n"] < 1 or cfg["d"] < 1 or cfg["clusters"] < 1:
         raise UsageError("n, d, and clusters must all be at least 1")
-    if cfg["sigma"] < 0:
-        raise UsageError("sigma must be non-negative")
+    if not (math.isfinite(cfg["sigma"]) and cfg["sigma"] >= 0):
+        raise UsageError("sigma must be finite and non-negative")
     rng = np.random.default_rng(cfg["seed"])
     means = rng.uniform(-1.0, 1.0, size=(cfg["clusters"], cfg["d"]))
     labels = rng.integers(0, cfg["clusters"], size=cfg["n"])
@@ -192,8 +192,8 @@ def cmd_synth(args) -> int:
 def cmd_build(args) -> int:
     cfg = _config(args)
     X = _load_dataset(args.dataset)
-    if cfg["c"] is None:
-        cfg["c"] = max(1, round(X.n / 400))
+    if cfg["c"] is None:  # a spill needs a second partition
+        cfg["c"] = max(1 if cfg["policy"] == "none" else 2, round(X.n / 400))
     cfg["dataset"] = str(args.dataset)
 
     t0 = time.perf_counter()
@@ -213,7 +213,7 @@ def cmd_build(args) -> int:
     actual = Path(cfg["out"]).stat().st_size
 
     spilled = cfg["policy"] != "none"
-    acct = pq.memory_accounting(X.n, X.d, cfg["s"], precision="float32", spilled=spilled)
+    acct = pq.memory_accounting(X.n, X.d, cfg["s"], spilled=spilled)
     entries = 2 * X.n if spilled else X.n
     predicted = (
         index_mod.HEADER_BYTES
@@ -253,7 +253,7 @@ def cmd_search(args) -> int:
     header = ["query_id", "position", "datapoint_id", "score"]
     rows = []
     for qi in range(Q.n):
-        result = index_mod.search(idx, Q.row(qi), params)
+        result = index_mod.search(idx, Q.data[qi], params)
         for pos, nb in enumerate(result.neighbors):
             rows.append([qi, pos, nb.id, f"{nb.score:.6f}"])
     if cfg["out"]:
@@ -319,7 +319,7 @@ def cmd_bench(args) -> int:
             scanned = 0
             started = time.perf_counter_ns()
             for qi in range(Q.n):
-                result = index_mod.search(idx, Q.row(qi), params)
+                result = index_mod.search(idx, Q.data[qi], params)
                 scanned += result.datapoints_scanned
                 hits += len({nb.id for nb in result.neighbors} & truth_sets[qi])
             elapsed_ms = (time.perf_counter_ns() - started) / 1e6
@@ -468,7 +468,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = add_parser("build", help="build a .soar index from an fvecs dataset")
     p.add_argument("dataset")
     p.add_argument("--out", type=_out_path, default=_REQUIRED)
-    p.add_argument("--c", type=int, help="partitions; default is n / 400")
+    p.add_argument("--c", type=int, help="partitions; default is n / 400, at least 2 under a spill")
     p.add_argument("--policy", choices=index_mod.POLICIES, default="soar")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--s", type=int, default=2, help="dimensions per quantizer subspace")

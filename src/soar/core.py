@@ -14,13 +14,10 @@ import numpy as np
 __all__ = [
     "Dataset",
     "Neighbor",
-    "inner_product",
     "batch_inner_products",
     "top_positions",
     "brute_force_mips",
     "rank",
-    "residual",
-    "cos_angle",
 ]
 
 
@@ -56,12 +53,6 @@ class Dataset:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"
 
@@ -92,13 +83,6 @@ def _as_vector(v, d: int | None = None, name: str = "vector") -> np.ndarray:
     if d is not None and arr.shape[0] != d:
         raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {d}")
     return arr
-
-
-def inner_product(a, b) -> float:
-    """<a, b> accumulated in float64, emitted as a float32 value."""
-    av = _as_vector(a, name="a")
-    bv = _as_vector(b, d=av.shape[0], name="b")
-    return float(np.float32(av @ bv))
 
 
 def batch_inner_products(q, rows: np.ndarray) -> np.ndarray:
@@ -152,26 +136,3 @@ def rank(q, v, X: Dataset) -> int:
     sv = np.float32(qv @ vv)
     return int(np.count_nonzero(scores >= sv))
 
-
-def residual(x, c) -> np.ndarray:
-    """x - c, the quantization error left after snapping x to center c."""
-    xv = np.asarray(x)
-    cv = np.asarray(c)
-    if xv.shape != cv.shape:
-        raise ValueError(f"shape mismatch: {xv.shape} vs {cv.shape}")
-    return xv - cv
-
-
-def cos_angle(q, r) -> float:
-    """Cosine of the angle between q and r, clamped to [-1, 1].
-
-    Raises on zero-norm input; callers that want the "zero residual scores
-    zero" convention must special-case it themselves.
-    """
-    qv = _as_vector(q, name="q")
-    rv = _as_vector(r, d=qv.shape[0], name="r")
-    nq = float(np.linalg.norm(qv))
-    nr = float(np.linalg.norm(rv))
-    if nq == 0.0 or nr == 0.0:
-        raise ValueError("cos_angle undefined for zero-norm input")
-    return float(min(1.0, max(-1.0, float(qv @ rv) / (nq * nr))))

@@ -43,6 +43,7 @@ __all__ = [
 
 MIN_THEOREM_SAMPLES = 100_000
 _BLOCK = 131_072  # Monte Carlo block size; fixed so results ignore parallelism
+_GT_CHUNK = 64  # queries per ground-truth GEMM; bounds the (chunk, n) score block
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def recall_at_k(results: list, truth, k: int) -> float:
     return len(result_ids & truth_ids) / k
 
 
-def ground_truth_ids(Q: Dataset, X: Dataset, k: int, chunk: int = 64) -> np.ndarray:
+def ground_truth_ids(Q: Dataset, X: Dataset, k: int) -> np.ndarray:
     """(|Q|, k) int64 matrix of exact MIPS neighbors, row-equal to
     brute_force_mips on each query."""
     if not 1 <= k <= X.n:
@@ -71,8 +72,8 @@ def ground_truth_ids(Q: Dataset, X: Dataset, k: int, chunk: int = 64) -> np.ndar
         raise ValueError(f"query dimension {Q.d} does not match dataset dimension {X.d}")
     out = np.empty((Q.n, k), dtype=np.int64)
     xt = X.data.astype(np.float64).T
-    for lo in range(0, Q.n, chunk):
-        hi = min(lo + chunk, Q.n)
+    for lo in range(0, Q.n, _GT_CHUNK):
+        hi = min(lo + _GT_CHUNK, Q.n)
         scores = (Q.data[lo:hi].astype(np.float64) @ xt).astype(np.float32)
         for i in range(hi - lo):
             out[lo + i] = top_positions(scores[i], k)
@@ -93,10 +94,6 @@ class KmrCurve:
     k: int
     policy: str
     lam: float
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(x), float(r)) for x, r in zip(self.datapoints, self.recall)]
 
 
 def _center_ranks(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -13,18 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
 from .vq import lloyd_kmeans
 
 __all__ = [
     "SUBSPACE_CENTERS",
     "PQCodebook",
     "train_pq",
-    "pq_encode",
     "pq_encode_batch",
     "pq_decode",
     "scoring_table",
-    "pq_score",
     "score_codes",
     "unpack_codes",
     "MemoryAccounting",
@@ -84,8 +81,7 @@ def train_pq(residuals, s: int, seed: int = 0, max_iters: int = 25) -> PQCodeboo
     Degenerate subspaces (fewer than 16 distinct subvectors, e.g. all-zero
     residuals) are allowed and simply leave duplicate centers behind.
     """
-    rows = residuals.data if isinstance(residuals, Dataset) else np.asarray(residuals)
-    rows = np.asarray(rows, dtype=np.float64)  # read only, so float64 input is not copied
+    rows = np.asarray(residuals, dtype=np.float64)  # read only, so float64 input is not copied
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValueError(f"residuals must be a non-empty 2-D array, got shape {rows.shape}")
     d = rows.shape[1]
@@ -144,14 +140,6 @@ def pq_encode_batch(rows, book: PQCodebook) -> np.ndarray:
     return _pack(_nearest_codes(rows, book))
 
 
-def pq_encode(v, book: PQCodebook) -> np.ndarray:
-    """Encode a single vector into packed 4-bit codes."""
-    vv = np.asarray(v)
-    if vv.ndim != 1 or vv.shape[0] != book.d:
-        raise ValueError(f"vector of shape {vv.shape} does not match codebook d={book.d}")
-    return pq_encode_batch(vv[None, :], book)[0]
-
-
 def pq_decode(code, book: PQCodebook) -> np.ndarray:
     """Reconstruct the (d,) float32 vector a code stands for."""
     nibbles = unpack_codes(np.asarray(code, dtype=np.uint8)[None, :], book.m)[0]
@@ -167,14 +155,6 @@ def scoring_table(q, book: PQCodebook) -> np.ndarray:
     qpad = _pad_rows(qv[None, :], book.padded_d)[0]
     qsub = qpad.reshape(book.m, book.s)
     return np.einsum("mks,ms->mk", book.centers.astype(np.float64), qsub)
-
-
-def pq_score(q, code, book: PQCodebook, table: np.ndarray | None = None) -> float:
-    """score_codes of one code, as float32: <q, pq_decode(code)> up to float
-    accumulation, because both sides sum the same partials."""
-    if table is None:
-        table = scoring_table(q, book)
-    return float(np.float32(score_codes(table, np.asarray(code, dtype=np.uint8)[None, :])[0]))
 
 
 def score_codes(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
@@ -199,31 +179,22 @@ def score_codes(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MemoryAccounting:
-    """Byte costs of one datapoint and of the whole spill, plus ratios.
+    """Byte costs of one datapoint and of the whole spill, plus ratios, for
+    an index that stores its vectors as float32.
 
     relative_increase is the share of the final (spilled) index the second
     copies occupy: per_point_pq / (per_point_full + 2 * per_point_pq).
-    approx_relative_increase is the round-number rule of thumb 1 / (2s + 1)
-    for int8 stores and 1 / (8s + 1) for float32 stores.
+    approx_relative_increase is the round-number rule of thumb 1 / (8s + 1).
     """
 
-    n: int
-    d: int
-    s: int
-    precision: str
-    spilled: bool
     per_point_pq: int
     per_point_full: int
     soar_overhead_bytes: int
     relative_increase: float
     approx_relative_increase: float
-    padded: bool
-    padded_d: int
 
 
-def memory_accounting(
-    n: int, d: int, s: int, precision: str = "float32", spilled: bool = True
-) -> MemoryAccounting:
+def memory_accounting(n: int, d: int, s: int, spilled: bool = True) -> MemoryAccounting:
     """Predict the exact byte cost of posting entries and the spill overhead.
 
     per_point_pq counts a 4-byte id plus ceil(m / 2) packed code bytes; with
@@ -233,25 +204,12 @@ def memory_accounting(
         raise ValueError("n and d must be at least 1")
     if s < 1:
         raise ValueError("s must be at least 1")
-    if precision not in ("float32", "int8"):
-        raise ValueError(f"unknown precision {precision!r}")
-    m = math.ceil(d / s)
-    per_point_pq = 4 + (m + 1) // 2
-    per_point_full = d if precision == "int8" else 4 * d
-    overhead = n * per_point_pq if spilled else 0
-    relative = per_point_pq / (per_point_full + 2 * per_point_pq)
-    approx = 1.0 / (2 * s + 1) if precision == "int8" else 1.0 / (8 * s + 1)
+    per_point_pq = 4 + (math.ceil(d / s) + 1) // 2
+    per_point_full = 4 * d
     return MemoryAccounting(
-        n=n,
-        d=d,
-        s=s,
-        precision=precision,
-        spilled=spilled,
         per_point_pq=per_point_pq,
         per_point_full=per_point_full,
-        soar_overhead_bytes=overhead,
-        relative_increase=relative,
-        approx_relative_increase=approx,
-        padded=(m * s != d),
-        padded_d=m * s,
+        soar_overhead_bytes=n * per_point_pq if spilled else 0,
+        relative_increase=per_point_pq / (per_point_full + 2 * per_point_pq),
+        approx_relative_increase=1.0 / (8 * s + 1),
     )

@@ -235,7 +235,7 @@ def test_criterion_8_spill_memory_cost(criterion_report, small, small_indices):
     X, _ = small
     delta = len(serialize(small_indices["soar"])) - len(serialize(small_indices["none"]))
     want = X.n * (4 + X.d // (2 * 2))  # id bytes + one packed code per point
-    acct = memory_accounting(n=1_000_000, d=100, s=2, precision="float32", spilled=True)
+    acct = memory_accounting(n=1_000_000, d=100, s=2, spilled=True)
     off = abs(acct.relative_increase - 0.059)
     ok = delta == want and off < 0.005
     check(

@@ -83,6 +83,13 @@ class TestSynth:
         code, _, _ = run(capsys, "synth", "--sigma", "-1", "--out", str(tmp_path / "d.fvecs"))
         assert code == 1
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma(self, tmp_path, capsys, sigma):
+        # a usage error, caught before anything is written
+        code, _, err = run(capsys, "synth", "--sigma", sigma, "--out", str(tmp_path / "d.fvecs"))
+        assert code == 1 and "sigma must be finite" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBuild:
     def test_predicted_size_matches_actual(self, workspace, capsys):
@@ -102,6 +109,17 @@ class TestBuild:
         assert code == 0
         assert "c=3" in text.splitlines()
         assert load(tmp_path / "z.soar").c == 3
+
+    @pytest.mark.parametrize("policy, c", [("none", 1), ("naive", 2), ("soar", 2)])
+    def test_default_partition_rule_small_dataset(self, tmp_path, capsys, policy, c):
+        # n / 400 rounds to 1 here; a spill needs a second partition
+        data = tmp_path / "d.fvecs"
+        run(capsys, "synth", "--n", "500", "--d", "4", "--out", str(data))
+        code, text, _ = run(capsys, "build", str(data), "--policy", policy,
+                            "--out", str(tmp_path / "z.soar"))
+        assert code == 0
+        assert f"c={c}" in text.splitlines()
+        assert load(tmp_path / "z.soar").c == c
 
     def test_failed_build_keeps_previous_file(self, workspace, capsys, fill_disk):
         before = (workspace / "soar.soar").read_bytes()

@@ -6,10 +6,7 @@ from soar.core import (
     Neighbor,
     batch_inner_products,
     brute_force_mips,
-    cos_angle,
-    inner_product,
     rank,
-    residual,
 )
 
 
@@ -17,7 +14,6 @@ class TestDataset:
     def test_basic_shape(self):
         X = Dataset(np.ones((3, 4)))
         assert (X.n, X.d) == (3, 4)
-        assert len(X) == 3
         assert X.data.dtype == np.float32
 
     def test_rejects_nan_and_inf(self):
@@ -46,10 +42,10 @@ class TestDataset:
 
 class TestInnerProduct:
     def test_hand_value(self):
-        assert inner_product([1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
+        assert batch_inner_products([1.0, 2.0], [[3.0, 4.0]]).tolist() == [11.0]
 
     def test_orthogonal_is_zero(self):
-        assert inner_product([1.0, 0.0], [0.0, 5.0]) == 0.0
+        assert batch_inner_products([1.0, 0.0], [[0.0, 5.0]]).tolist() == [0.0]
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(101)
@@ -59,11 +55,11 @@ class TestInnerProduct:
             expected = 0.0
             for x, y in zip(a, b):
                 expected += float(x) * float(y)
-            assert inner_product(a, b) == pytest.approx(expected, rel=1e-4)
+            assert batch_inner_products(a, b[None, :])[0] == pytest.approx(expected, rel=1e-4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product([1.0, 2.0], [1.0, 2.0, 3.0])
+            batch_inner_products([1.0, 2.0], [[1.0, 2.0, 3.0]])
 
 
 class TestBruteForceMips:
@@ -145,46 +141,3 @@ class TestRank:
         with pytest.raises(ValueError):
             rank([1.0, 2.0], [1.0, 2.0, 3.0], X)
 
-
-class TestResidual:
-    def test_hand_value(self):
-        np.testing.assert_array_equal(residual([3.0, 4.0], [1.0, 1.0]), [2.0, 3.0])
-
-    def test_score_decomposition(self):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            x = rng.standard_normal(20)
-            c = rng.standard_normal(20)
-            q = rng.standard_normal(20)
-            lhs = np.dot(q, x) - np.dot(q, c)
-            assert np.dot(q, residual(x, c)) == pytest.approx(lhs, rel=1e-9, abs=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            residual([1.0, 2.0], [1.0])
-
-
-class TestCosAngle:
-    def test_parallel_and_antiparallel(self):
-        assert cos_angle([2.0, 0.0], [5.0, 0.0]) == 1.0
-        assert cos_angle([2.0, 0.0], [-1.0, 0.0]) == -1.0
-
-    def test_orthogonal(self):
-        assert cos_angle([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.0)
-
-    def test_scale_invariant(self):
-        rng = np.random.default_rng(41)
-        q = rng.standard_normal(15)
-        r = rng.standard_normal(15)
-        assert cos_angle(q, r) == pytest.approx(cos_angle(3.0 * q, 0.25 * r), abs=1e-12)
-
-    def test_clamped(self):
-        v = np.full(50, 0.1)
-        assert -1.0 <= cos_angle(v, v) <= 1.0
-        assert cos_angle(v, v) == pytest.approx(1.0)
-
-    def test_zero_norm_raises(self):
-        with pytest.raises(ValueError):
-            cos_angle([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            cos_angle([1.0, 0.0], [0.0, 0.0])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import soar.evaluation
 from soar.core import Dataset, Neighbor, rank
 from soar.evaluation import (
     MIN_THEOREM_SAMPLES,
@@ -61,11 +62,11 @@ class TestGroundTruth:
             want = [nb.id for nb in brute_force_mips(Q.data[i], X, 7)]
             assert mat[i].tolist() == want
 
-    def test_chunk_size_is_irrelevant(self, instance):
+    def test_chunk_size_is_irrelevant(self, instance, monkeypatch):
         X, Q = instance
-        np.testing.assert_array_equal(
-            ground_truth_ids(Q, X, 5, chunk=3), ground_truth_ids(Q, X, 5, chunk=64)
-        )
+        want = ground_truth_ids(Q, X, 5)
+        monkeypatch.setattr(soar.evaluation, "_GT_CHUNK", 3)
+        np.testing.assert_array_equal(ground_truth_ids(Q, X, 5), want)
 
     def test_bad_k(self, instance):
         X, Q = instance
@@ -128,7 +129,7 @@ class TestKmrCurve:
         X, Q = instance
         idx = build(X, c=1, policy="none", s=2, seed=3)
         curve = kmr_curve(Q, idx, k=5)
-        assert curve.points == [(float(X.n), 1.0)]
+        assert (curve.datapoints.tolist(), curve.recall.tolist()) == ([float(X.n)], [1.0])
 
     def test_datapoints_to_recall(self, instance):
         X, Q = instance

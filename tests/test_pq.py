@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from soar.core import Dataset, inner_product
+from soar.core import batch_inner_products
 from soar.pq import (
     PQCodebook,
     memory_accounting,
     pq_decode,
-    pq_encode,
     pq_encode_batch,
-    pq_score,
+    score_codes,
     scoring_table,
     train_pq,
     unpack_codes,
@@ -81,14 +80,14 @@ class TestTrainPq:
 class TestEncodeDecode:
     def test_hand_codes_on_grid(self):
         book = _grid_book()
-        code = pq_encode(np.array([3.2, 0.0, 0.0, 6.8]), book)
+        code = pq_encode_batch(np.array([[3.2, 0.0, 0.0, 6.8]]), book)[0]
         nibbles = unpack_codes(code[None, :], book.m)[0]
         np.testing.assert_array_equal(nibbles, [3, 7])
         np.testing.assert_array_equal(pq_decode(code, book), [3.0, 0.0, 0.0, 7.0])
 
     def test_packing_two_nibbles_per_byte(self):
         book = _grid_book()
-        code = pq_encode(np.array([5.0, 0.0, 0.0, 12.0]), book)
+        code = pq_encode_batch(np.array([[5.0, 0.0, 0.0, 12.0]]), book)[0]
         assert code.shape == (1,)
         assert code[0] == 5 | (12 << 4)
 
@@ -97,7 +96,7 @@ class TestEncodeDecode:
         centers[0, 3] = (1.0, 0.0)
         centers[0, 9] = (1.0, 0.0)  # duplicate of center 3
         book = PQCodebook(centers=centers, d=2)
-        nib = unpack_codes(pq_encode(np.array([1.0, 0.0]), book)[None, :], 1)[0]
+        nib = unpack_codes(pq_encode_batch(np.array([[1.0, 0.0]]), book), 1)[0]
         assert nib[0] == 3
 
     def test_matches_per_subspace_argmin_oracle(self):
@@ -117,20 +116,21 @@ class TestEncodeDecode:
         rows = rng.standard_normal((1000, 8))
         book = train_pq(rows, s=2, seed=3)
         i = 5
-        decoded = pq_decode(pq_encode(rows[i], book), book)
+        decoded = pq_decode(pq_encode_batch(rows[i : i + 1], book)[0], book)
         assert ((rows[i] - decoded) ** 2).sum() < (rows[i] ** 2).sum()
 
     def test_dimension_mismatch(self):
         book = _grid_book()
         with pytest.raises(ValueError):
-            pq_encode(np.ones(5), book)
+            pq_encode_batch(np.ones((1, 5)), book)
 
 
 class TestPqScore:
     def test_zero_code_zero_score(self):
         book = train_pq(np.zeros((50, 4)), s=2, seed=0)
         q = np.array([1.0, 2.0, 3.0, 4.0])
-        assert pq_score(q, pq_encode(np.zeros(4), book), book) == 0.0
+        codes = pq_encode_batch(np.zeros((1, 4)), book)
+        assert score_codes(scoring_table(q, book), codes).tolist() == [0.0]
 
     def test_lookup_identity_against_decode(self):
         rng = np.random.default_rng(19)
@@ -139,53 +139,34 @@ class TestPqScore:
         codes = pq_encode_batch(rows[:50], book)
         for i in range(50):
             q = rng.standard_normal(10)
-            via_table = pq_score(q, codes[i], book)
-            via_decode = inner_product(q, pq_decode(codes[i], book))
+            via_table = score_codes(scoring_table(q, book), codes[i : i + 1])[0]
+            via_decode = batch_inner_products(q, pq_decode(codes[i], book)[None, :])[0]
             assert via_table == pytest.approx(via_decode, rel=1e-5, abs=1e-6)
-
-    def test_shared_table_matches_fresh_table(self):
-        rng = np.random.default_rng(23)
-        rows = rng.standard_normal((300, 6))
-        book = train_pq(rows, s=2, seed=7)
-        q = rng.standard_normal(6)
-        table = scoring_table(q, book)
-        code = pq_encode(rows[0], book)
-        assert pq_score(q, code, book, table=table) == pq_score(q, code, book)
 
 
 class TestMemoryAccounting:
     def test_glove_like_per_point_bytes(self):
-        acct = memory_accounting(n=1_000_000, d=100, s=2, precision="float32", spilled=True)
+        acct = memory_accounting(n=1_000_000, d=100, s=2, spilled=True)
         assert acct.per_point_pq == 29  # 4-byte id + 25 packed code bytes
         assert acct.per_point_full == 400
         assert acct.soar_overhead_bytes == 29_000_000
 
     def test_float32_relative_increase_near_one_seventeenth(self):
-        acct = memory_accounting(n=10, d=100, s=2, precision="float32", spilled=True)
+        acct = memory_accounting(n=10, d=100, s=2, spilled=True)
         assert acct.approx_relative_increase == pytest.approx(1.0 / 17.0)
         assert abs(acct.relative_increase - 0.059) < 0.005
 
-    def test_int8_approximation(self):
-        acct = memory_accounting(n=10, d=100, s=2, precision="int8", spilled=True)
-        assert acct.approx_relative_increase == pytest.approx(0.2)
-        assert acct.per_point_full == 100
-
     def test_unspilled_has_no_overhead(self):
-        acct = memory_accounting(n=500, d=16, s=2, precision="float32", spilled=False)
+        acct = memory_accounting(n=500, d=16, s=2, spilled=False)
         assert acct.soar_overhead_bytes == 0
 
     def test_padding_reported(self):
-        acct = memory_accounting(n=10, d=5, s=2, precision="float32", spilled=True)
-        assert acct.padded and acct.padded_d == 6
+        acct = memory_accounting(n=10, d=5, s=2, spilled=True)
         assert acct.per_point_pq == 4 + 2  # 3 nibbles round up to 2 bytes
 
     def test_s_zero_rejected(self):
         with pytest.raises(ValueError):
-            memory_accounting(n=10, d=4, s=0, precision="float32", spilled=True)
-
-    def test_unknown_precision_rejected(self):
-        with pytest.raises(ValueError):
-            memory_accounting(n=10, d=4, s=2, precision="float64", spilled=True)
+            memory_accounting(n=10, d=4, s=0, spilled=True)
 
 
 class TestTrainedSubspaces:
