@@ -24,11 +24,12 @@ from .index import (
     build,
     deserialize,
     load,
+    memory_accounting,
     save,
     search,
     serialize,
 )
-from .pq import PQCodebook, memory_accounting, pq_decode, train_pq
+from .pq import PQCodebook, pq_decode, train_pq
 from .vq import (
     AssignmentTable,
     Codebook,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, index as index_mod, pq, vecio
+from . import evaluation, index as index_mod, vecio
 from .core import Dataset
 from .evaluation import MIN_THEOREM_SAMPLES
 from .index import SearchParams
@@ -213,16 +213,8 @@ def cmd_build(args) -> int:
     actual = Path(cfg["out"]).stat().st_size
 
     spilled = cfg["policy"] != "none"
-    acct = pq.memory_accounting(X.n, X.d, cfg["s"], spilled=spilled)
-    entries = 2 * X.n if spilled else X.n
-    predicted = (
-        index_mod.HEADER_BYTES
-        + 4 * idx.c * X.d
-        + 4 * idx.pq_book.m * 16 * idx.pq_book.s
-        + 8 * idx.c
-        + entries * acct.per_point_pq
-        + 4 * X.n * X.d
-    )
+    acct = index_mod.memory_accounting(X.n, X.d, cfg["s"], spilled=spilled)
+    predicted = sum(size for _, size in index_mod.sections(X.n, X.d, idx.c, cfg["s"], spilled))
     _emit_header("build", cfg)
     print(f"build_seconds={build_seconds:.3f}")
     print(f"write_seconds={write_seconds:.3f}")

@@ -63,9 +63,19 @@ def _checked_rows(arr: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"need at least one row and one column, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError("dataset contains NaN or Inf values")
     return arr
+
+
+_FINITE_ROWS = 4096
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of arr is finite, checked _FINITE_ROWS rows at a
+    time so that the temporary mask stays small, not the array's size."""
+    rows, block = np.atleast_1d(arr), _FINITE_ROWS
+    return all(np.isfinite(rows[i : i + block]).all() for i in range(0, len(rows), block))
 
 
 @dataclass(frozen=True, order=False)

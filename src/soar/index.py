@@ -29,17 +29,18 @@ score and sorting would give. An id has at most two entries, so the first
 2 x `rerank` entries hold at least `rerank` distinct ids, and those are
 the candidates a full dedup would rerank.
 
-On-disk format (".soar", little-endian throughout), the CSR table as is:
+On-disk format (".soar", little-endian throughout): the header, then the
+CSR table as it is held in memory. The header is
 
-    header   magic "SOAR", u16 version=2, u8 policy, u8 reserved,
-             u64 n, u32 d, u32 c, u32 s, u32 m, u32 code_bytes,
-             f64 lambda, i64 seed                      (52 bytes, fixed)
-    codebook        c * d float32
-    pq codebook     m * 16 * s float32
-    posting counts  c * (u32 primaries, u32 spills), ascending partition id
-    posting ids     E u32, the CSR `ids`
-    posting codes   E * code_bytes u8, the CSR `codes`
-    full store      n * d float32
+    magic "SOAR", u16 version=2, u8 policy, u8 reserved, u64 n, u32 d,
+    u32 c, u32 s, u32 m, u32 code_bytes, f64 lambda, i64 seed  (52 bytes)
+
+`sections` lists the file's sections in order with their sizes, from the
+header fields alone: the codebook, the PQ codebook, the posting counts
+(u32 primaries and u32 spills per partition, ascending partition id), ids
+and codes, and the float32 full store. serialize writes them in that
+order; deserialize, `soar build`'s size check and `memory_accounting` take
+their sizes from it.
 
 The counts give `offsets` and say which rows are primaries, so load reads
 the assignment table from the postings: an id's primary partition is the
@@ -51,10 +52,11 @@ rejected and must be rebuilt.
 `load` maps the file read-only instead of reading it, and the index's ids,
 codes and full store are read-only views of the mapping, which the index
 keeps alive. The full store is copied instead when E * code_bytes is not a
-multiple of 4, which leaves its floats unaligned. Never truncate or rewrite a loaded file in place: the process
-serving it would get SIGBUS on its next read. `save` never does, since it
-replaces the file atomically (`write_atomic`), and a process serving the
-old file keeps reading the old bytes.
+multiple of 4, which leaves its floats unaligned. Never truncate or
+rewrite a loaded file in place: the process serving it would get SIGBUS on
+its next read. `save` never does, since it replaces the file atomically
+(`write_atomic`), and a process serving the old file keeps reading the old
+bytes.
 """
 
 import math
@@ -67,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, Neighbor, batch_inner_products, top_positions
-from .pq import PQCodebook, pq_encode_batch, score_codes, scoring_table, train_pq
+from .pq import SUBSPACE_CENTERS, PQCodebook, pq_encode_batch, score_codes, scoring_table, train_pq
 from .vq import (
     AssignmentTable,
     Codebook,
@@ -92,6 +94,9 @@ __all__ = [
     "load",
     "write_atomic",
     "HEADER_BYTES",
+    "sections",
+    "MemoryAccounting",
+    "memory_accounting",
 ]
 
 _MAGIC = b"SOAR"
@@ -100,6 +105,63 @@ _HEADER = struct.Struct("<4sHBBQIIIIIdq")
 HEADER_BYTES = _HEADER.size  # 52
 _POLICY_CODE = {"none": 0, "naive": 1, "soar": 2}
 _CODE_POLICY = {v: k for k, v in _POLICY_CODE.items()}
+
+
+def sections(n: int, d: int, c: int, s: int, spilled: bool) -> list[tuple[str, int]]:
+    """The file's sections in order as (name, bytes), from header fields
+    alone. Each name is the section an IndexFormatError reports; the three
+    "posting lists" sections are the counts, the ids and the codes."""
+    m = math.ceil(d / s)
+    entries = 2 * n if spilled else n
+    return [
+        ("header", HEADER_BYTES),
+        ("codebook", 4 * c * d),
+        ("pq codebook", 4 * m * SUBSPACE_CENTERS * s),
+        ("posting lists", 8 * c),
+        ("posting lists", 4 * entries),
+        ("posting lists", (m + 1) // 2 * entries),
+        ("full store", 4 * n * d),
+    ]
+
+
+@dataclass(frozen=True)
+class MemoryAccounting:
+    """Byte costs of one datapoint and of the whole spill, plus ratios, for
+    an index that stores its vectors as float32.
+
+    relative_increase is the share of the final (spilled) index the second
+    copies occupy: per_point_pq / (per_point_full + 2 * per_point_pq).
+    approx_relative_increase is the round-number rule of thumb 1 / (8s + 1).
+    """
+
+    per_point_pq: int
+    per_point_full: int
+    soar_overhead_bytes: int
+    relative_increase: float
+    approx_relative_increase: float
+
+
+def memory_accounting(n: int, d: int, s: int, spilled: bool = True) -> MemoryAccounting:
+    """Predict the exact byte cost of posting entries and the spill overhead
+    from the section table.
+
+    per_point_pq counts a 4-byte id plus ceil(m / 2) packed code bytes; with
+    s dividing d and m even this is the textbook 4 + d / (2 s).
+    """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be at least 1")
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    # one point with one entry: its id, its code and its full-store row
+    *_, (_, id_bytes), (_, code_bytes), (_, row_bytes) = sections(1, d, 1, s, spilled=False)
+    per_point_pq = id_bytes + code_bytes
+    return MemoryAccounting(
+        per_point_pq=per_point_pq,
+        per_point_full=row_bytes,
+        soar_overhead_bytes=n * per_point_pq if spilled else 0,
+        relative_increase=per_point_pq / (row_bytes + 2 * per_point_pq),
+        approx_relative_increase=1.0 / (8 * s + 1),
+    )
 
 
 class IndexFormatError(ValueError):
@@ -322,30 +384,14 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
 def serialize(index: SoarIndex) -> bytes:
     """Pack the index into the on-disk byte layout described above."""
     book = index.pq_book
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        _POLICY_CODE[index.policy],
-        0,
-        index.n,
-        index.d,
-        index.c,
-        book.s,
-        book.m,
-        book.code_bytes,
-        index.lam,
-        index.seed,
-    )
-    out = bytearray(header)
-    out += index.codebook.centers.astype("<f4").tobytes()
-    out += book.centers.astype("<f4").tobytes()
+    header = _HEADER.pack(_MAGIC, _VERSION, _POLICY_CODE[index.policy], 0, index.n, index.d,
+                          index.c, book.s, book.m, book.code_bytes, index.lam, index.seed)
     primaries = np.bincount(index.assignment.primary, minlength=index.c)
     counts = np.stack([primaries, index.posting_sizes() - primaries], axis=1)
-    out += counts.astype("<u4").tobytes()
-    out += index.ids.astype("<u4").tobytes()
-    out += index.codes.tobytes()
-    out += index.full_store.data.astype("<f4").tobytes()
-    return bytes(out)
+    # the sections in `sections` order, each joined straight from its array
+    parts = [(index.codebook.centers, "<f4"), (book.centers, "<f4"), (counts, "<u4"),
+             (index.ids, "<u4"), (index.codes, "u1"), (index.full_store.data, "<f4")]
+    return b"".join([header] + [np.ascontiguousarray(arr, dtype) for arr, dtype in parts])
 
 
 class _Cursor:
@@ -356,10 +402,12 @@ class _Cursor:
         self.data = view if view.readonly else memoryview(bytes(view))
         self.pos = 0
 
-    def take(self, count: int, section: str) -> memoryview:
-        """The next count bytes, checking they exist."""
+    def take(self, section: tuple[str, int]) -> memoryview:
+        """The bytes of the next section, a (name, size) entry of `sections`,
+        checking they exist."""
+        name, count = section
         if self.pos + count > len(self.data):
-            raise IndexFormatError(section, f"truncated: wanted {count} bytes, "
+            raise IndexFormatError(name, f"truncated: wanted {count} bytes, "
                                             f"{len(self.data) - self.pos} left")
         self.pos += count
         return self.data[self.pos - count : self.pos]
@@ -374,7 +422,7 @@ def deserialize(data) -> SoarIndex:
     so the index keeps it alive.
     """
     cur = _Cursor(data)
-    raw = cur.take(HEADER_BYTES, "header")
+    raw = cur.take(("header", HEADER_BYTES))
     magic, version, policy_code, _, n, d, c, s, m, code_bytes, lam, seed = _HEADER.unpack(raw)
     if magic != _MAGIC:
         raise IndexFormatError("header", f"bad magic {magic!r}")
@@ -392,22 +440,24 @@ def deserialize(data) -> SoarIndex:
     # what build writes: a finite lambda >= 0 for soar, 0 for the other policies
     if not (math.isfinite(lam) and lam >= 0 if policy == "soar" else lam == 0):
         raise IndexFormatError("header", f"lambda {lam!r} invalid for policy {policy!r}")
+    layout = iter(sections(n, d, c, s, spilled=policy != "none")[1:])  # after the header
 
-    def read_f32(section: str, shape: tuple, make):
-        """make(array) from the next float32 section, shaped; a ValueError
+    def read_f32(shape: tuple, make):
+        """make(array) from the next section, float32, shaped; a ValueError
         from make, which also rejects NaN and Inf, is reported as a format
         error in that section."""
-        arr = np.frombuffer(cur.take(4 * math.prod(shape), section), dtype="<f4")
+        section = next(layout)
+        arr = np.frombuffer(cur.take(section), dtype="<f4")
         try:
             return make(arr.reshape(shape))
         except ValueError as exc:
-            raise IndexFormatError(section, str(exc)) from exc
+            raise IndexFormatError(section[0], str(exc)) from exc
 
-    codebook = read_f32("codebook", (c, d), Codebook)
-    pq_book = read_f32("pq codebook", (m, 16, s), lambda arr: PQCodebook(arr, d=d))
+    codebook = read_f32((c, d), Codebook)
+    pq_book = read_f32((m, SUBSPACE_CENTERS, s), lambda arr: PQCodebook(arr, d=d))
 
     # The counts fix the lengths of the ids and codes, so they are checked first.
-    counts = np.frombuffer(cur.take(8 * c, "posting lists"), dtype="<u4").reshape(c, 2)
+    counts = np.frombuffer(cur.take(next(layout)), dtype="<u4").reshape(c, 2)
     found = counts.sum(axis=0, dtype=np.int64).tolist()
     expected = [n, 0 if policy == "none" else n]
     if found != expected:
@@ -415,11 +465,9 @@ def deserialize(data) -> SoarIndex:
                                                 f"spills, expected {expected[0]} and {expected[1]}")
     offsets = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=1, dtype=np.int64), out=offsets[1:])
-    total = int(offsets[-1])
     # views, not copies: the index keeps its buffer or mapping alive
-    ids = np.frombuffer(cur.take(4 * total, "posting lists"), dtype="<u4")
-    codes = np.frombuffer(cur.take(code_bytes * total, "posting lists"), dtype=np.uint8)
-    codes = codes.reshape(total, code_bytes)
+    ids = np.frombuffer(cur.take(next(layout)), dtype="<u4")
+    codes = np.frombuffer(cur.take(next(layout)), dtype=np.uint8).reshape(len(ids), code_bytes)
     # run r is partition r // 2's primaries (r even) or spills (r odd)
     runs = np.repeat(np.arange(2 * c), counts.ravel())
     out_of_range = ids >= n
@@ -431,18 +479,15 @@ def deserialize(data) -> SoarIndex:
         p = runs[np.argmax(unordered) + 1] // 2
         raise IndexFormatError("posting lists", f"partition {p} ids not strictly increasing")
 
-    def partitions_of(role: int, name: str) -> np.ndarray:
-        """Each id's partition among the runs of one role. The runs hold n
-        ids in range, so an id missing means another one repeated."""
-        part = np.full(n, -1, dtype=np.int32)
-        rows = runs % 2 == role
-        part[ids[rows]] = runs[rows] // 2
-        if np.any(part < 0):
+    # Each id's partition, row 0 among the primary runs and row 1 among the
+    # spill runs, in one scatter. A role's runs hold n ids in range, so an id
+    # missing from its row means another one repeated.
+    parts = np.full((1 if policy == "none" else 2, n), -1, dtype=np.int32)
+    parts[runs % 2, ids] = runs // 2
+    primary, spilled = parts[0], (parts[1] if len(parts) == 2 else None)
+    for name, part in (("primary", primary), ("spill", spilled)):
+        if part is not None and np.any(part < 0):
             raise IndexFormatError("posting lists", f"each id must have exactly one {name} entry")
-        return part
-
-    primary = partitions_of(0, "primary")
-    spilled = None if policy == "none" else partitions_of(1, "spill")
     if spilled is not None and np.any(spilled == primary):
         raise IndexFormatError("posting lists", "an id's primary and spill share a partition")
 
@@ -452,7 +497,7 @@ def deserialize(data) -> SoarIndex:
         unaligned array on every matrix product, so it is copied once here."""
         return Dataset._view(arr) if arr.flags.aligned else Dataset(arr)
 
-    full_store = read_f32("full store", (n, d), store)
+    full_store = read_f32((n, d), store)
     if cur.pos != len(cur.data):
         raise IndexFormatError("full store", f"{len(cur.data) - cur.pos} trailing bytes")
 

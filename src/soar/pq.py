@@ -24,8 +24,6 @@ __all__ = [
     "scoring_table",
     "score_codes",
     "unpack_codes",
-    "MemoryAccounting",
-    "memory_accounting",
 ]
 
 SUBSPACE_CENTERS = 16  # 4-bit codes, two per byte
@@ -175,41 +173,3 @@ def score_codes(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
     for j in range(1, code_bytes):
         total += byte[j].take(columns[j])
     return total
-
-
-@dataclass(frozen=True)
-class MemoryAccounting:
-    """Byte costs of one datapoint and of the whole spill, plus ratios, for
-    an index that stores its vectors as float32.
-
-    relative_increase is the share of the final (spilled) index the second
-    copies occupy: per_point_pq / (per_point_full + 2 * per_point_pq).
-    approx_relative_increase is the round-number rule of thumb 1 / (8s + 1).
-    """
-
-    per_point_pq: int
-    per_point_full: int
-    soar_overhead_bytes: int
-    relative_increase: float
-    approx_relative_increase: float
-
-
-def memory_accounting(n: int, d: int, s: int, spilled: bool = True) -> MemoryAccounting:
-    """Predict the exact byte cost of posting entries and the spill overhead.
-
-    per_point_pq counts a 4-byte id plus ceil(m / 2) packed code bytes; with
-    s dividing d and m even this is the textbook 4 + d / (2 s).
-    """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    per_point_pq = 4 + (math.ceil(d / s) + 1) // 2
-    per_point_full = 4 * d
-    return MemoryAccounting(
-        per_point_pq=per_point_pq,
-        per_point_full=per_point_full,
-        soar_overhead_bytes=n * per_point_pq if spilled else 0,
-        relative_increase=per_point_pq / (per_point_full + 2 * per_point_pq),
-        approx_relative_increase=1.0 / (8 * s + 1),
-    )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _all_finite
 from .evaluation import ground_truth_ids
 from .index import write_atomic
 
@@ -72,14 +72,14 @@ def _write_vecs(path, arr: np.ndarray, payload_dtype: str) -> None:
 def read_fvecs(path) -> np.ndarray:
     """Load an fvecs file as (n, d) float32. Values must be finite."""
     data = _read_vecs(path, "<f4")
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise DataFormatError(f"{path}: non-finite values")
     return data
 
 
 def write_fvecs(path, arr) -> None:
     write = np.asarray(arr, dtype="<f4")
-    if not np.all(np.isfinite(write)):
+    if not _all_finite(write):
         raise DataFormatError("refusing to write non-finite values")
     _write_vecs(path, write, "<f4")
 

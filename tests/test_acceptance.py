@@ -35,7 +35,7 @@ from soar.evaluation import (
     mc_verify_theorem1,
 )
 from soar.index import SearchParams, build, search, serialize
-from soar.pq import memory_accounting
+from soar.index import memory_accounting
 from soar.vq import assign_primary, assign_spilled_naive, assign_spilled_soar, train_kmeans
 
 # the shared large instance (criteria 5-7)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import soar.core
 from soar.core import (
     Dataset,
     Neighbor,
@@ -21,6 +22,17 @@ class TestDataset:
             Dataset([[1.0, np.nan]])
         with pytest.raises(ValueError):
             Dataset([[np.inf, 0.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_after_a_block_boundary(self, value):
+        """The finite check runs in blocks of rows; the first row of the
+        second block is checked too."""
+        data = np.ones((soar.core._FINITE_ROWS + 5, 3), dtype=np.float32)
+        data[soar.core._FINITE_ROWS, 1] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Dataset(data)
+        data[soar.core._FINITE_ROWS, 1] = 0.0
+        assert Dataset(data).n == soar.core._FINITE_ROWS + 5
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):

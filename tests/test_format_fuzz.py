@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soar.core import Dataset
-from soar.index import HEADER_BYTES, IndexFormatError, build, deserialize, load, serialize
+from soar.index import HEADER_BYTES, IndexFormatError, build, deserialize, load, sections, serialize
 
 N, D, C, S = 60, 6, 7, 4
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -26,9 +26,11 @@ def blobs():
 
 
 def _posting_section(blob: bytes) -> tuple[int, int]:
-    m = -(-D // S)
-    start = HEADER_BYTES + 4 * C * D + 4 * m * 16 * S
-    return start, len(blob) - 4 * N * D
+    """Where the counts start and the full store starts, from the section
+    table: after the header and codebooks, and the store's size before the
+    end. Neither depends on the spill."""
+    sizes = [size for _, size in sections(N, D, C, S, spilled=False)]
+    return sum(sizes[:3]), len(blob) - sizes[-1]
 
 
 def _load_file(blob: bytes):

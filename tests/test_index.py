@@ -16,8 +16,10 @@ from soar.index import (
     build,
     deserialize,
     load,
+    memory_accounting,
     save,
     search,
+    sections,
     serialize,
 )
 from soar.vq import assign_primary
@@ -29,6 +31,16 @@ def small_data():
     X = Dataset(rng.standard_normal((1200, 12)).astype(np.float32))
     Q = rng.standard_normal((40, 12))
     return X, Q
+
+
+def _sections(idx) -> list[tuple[str, int]]:
+    return sections(idx.n, idx.d, idx.c, idx.pq_book.s, spilled=idx.assignment.spilled is not None)
+
+
+def _section_starts(idx) -> list[int]:
+    """The byte offset of each section of idx's file, in `sections` order,
+    then the file's length."""
+    return np.cumsum([0] + [size for _, size in _sections(idx)]).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -349,8 +361,7 @@ class TestSerialization:
     def test_corrupt_length_field(self, indices):
         idx = indices["none"]
         blob = bytearray(serialize(idx))
-        # partition 0's spill count, in the counts block right after the fixed sections
-        off = HEADER_BYTES + 4 * idx.c * idx.d + 4 * idx.pq_book.centers.size + 4
+        off = _section_starts(idx)[3] + 4  # partition 0's spill count, in the counts block
         np_len = int.from_bytes(blob[off : off + 4], "little")
         blob[off : off + 4] = (np_len + 7).to_bytes(4, "little")
         with pytest.raises(IndexFormatError):
@@ -376,11 +387,9 @@ class TestSerialization:
     def test_non_finite_float_names_section(self, indices, section, value):
         idx = indices["soar"]
         blob = bytearray(serialize(idx))
-        at = {
-            "codebook": HEADER_BYTES,
-            "pq codebook": HEADER_BYTES + 4 * idx.c * idx.d,
-            "full store": len(blob) - 4 * idx.n * idx.d,
-        }[section] + 4 * 5  # the section's sixth float
+        starts = _section_starts(idx)
+        at = {"codebook": starts[1], "pq codebook": starts[2], "full store": starts[6]}[section]
+        at += 4 * 5  # the section's sixth float
         blob[at : at + 4] = np.float32(value).astype("<f4").tobytes()
         with pytest.raises(IndexFormatError) as info:
             deserialize(bytes(blob))
@@ -504,9 +513,8 @@ class TestCraftedPostings:
     def sections(idx):
         """The serialized index as a bytearray, with the byte offsets of its
         counts block and its ids."""
-        blob = bytearray(serialize(idx))
-        counts_at = HEADER_BYTES + 4 * idx.c * idx.d + 4 * idx.pq_book.centers.size
-        return blob, counts_at, counts_at + 8 * idx.c
+        starts = _section_starts(idx)
+        return bytearray(serialize(idx)), starts[3], starts[4]
 
     def test_counts_not_summing_to_n(self, indices):
         idx = indices["soar"]
@@ -545,6 +553,23 @@ class TestCraftedPostings:
         ids[[0, 1]] = ids[[1, 0]]  # the first two primaries of partition 0
         blob[ids_at : ids_at + 4 * ids.size] = ids.astype("<u4").tobytes()
         with pytest.raises(IndexFormatError, match="posting lists: partition 0 ids not strictly"):
+            deserialize(bytes(blob))
+
+    @pytest.mark.parametrize("role,name", [(0, "primary"), (1, "spill")])
+    def test_id_missing_from_a_role(self, indices, role, name):
+        idx = indices["soar"]
+        blob, counts_at, ids_at = self.sections(idx)
+        counts = np.frombuffer(blob, "<u4", 2 * idx.c, counts_at).reshape(idx.c, 2)
+        bounds = [idx.offsets[:-1], idx.offsets[:-1] + counts[:, 0], idx.offsets[1:]]
+        runs = [slice(bounds[role][p], bounds[role + 1][p]) for p in range(idx.c)]
+        p, q = [p for p, run in enumerate(runs) if run.stop > run.start][:2]
+        # p's run of this role swaps its first id u for q's first id v, kept
+        # sorted and in range: u is then missing from the role, v repeated
+        ids = idx.ids.copy()
+        ids[runs[p]] = np.sort(np.append(ids[runs[p]][1:], ids[runs[q]][0]))
+        blob[ids_at : ids_at + 4 * ids.size] = ids.astype("<u4").tobytes()
+        with pytest.raises(IndexFormatError,
+                           match=f"posting lists: each id must have exactly one {name} entry$"):
             deserialize(bytes(blob))
 
 
@@ -602,3 +627,73 @@ class TestEmptyPartitions:
                     got = search(idx, q, SearchParams(k=5, budget=budget))
                     assert got.datapoints_scanned == int(cum[cum <= budget].max(initial=0))
                     assert len(got.neighbors) == (5 if got.datapoints_scanned else 0)
+
+
+class TestSectionTable:
+    """`sections` is the one statement of the file layout: serialize writes
+    it, deserialize reads it and memory_accounting derives from it."""
+
+    @pytest.fixture(scope="class")
+    def odd_m(self):
+        X = Dataset(np.random.default_rng(13).standard_normal((300, 5)).astype(np.float32))
+        return build(X, c=4, policy="soar", s=2, seed=3)  # m = 3 nibbles in 2 code bytes
+
+    @pytest.fixture(params=["none", "naive", "soar", "odd m"])
+    def idx(self, request, indices, odd_m):
+        return odd_m if request.param == "odd m" else indices[request.param]
+
+    def test_file_size_is_the_table_sum(self, idx):
+        assert len(serialize(idx)) == sum(size for _, size in _sections(idx))
+
+    def test_each_section_at_its_offset(self, idx):
+        blob, table = serialize(idx), _sections(idx)
+        names = ["header", "codebook", "pq codebook"] + ["posting lists"] * 3 + ["full store"]
+        assert [name for name, _ in table] == names
+        assert table[0][1] == HEADER_BYTES
+        roles = [idx.assignment.primary, idx.assignment.spilled]
+        counts = np.stack([np.bincount(np.zeros(0, int) if part is None else part, minlength=idx.c)
+                           for part in roles], axis=1)  # (primaries, spills) per partition
+        want = [idx.codebook.centers.astype("<f4"), idx.pq_book.centers.astype("<f4"),
+                counts.astype("<u4"), idx.ids.astype("<u4"), idx.codes, idx.full_store.data]
+        starts = _section_starts(idx)
+        for start, end, arr in zip(starts[1:-1], starts[2:], want, strict=True):
+            assert blob[start:end] == arr.tobytes()
+
+    def test_accounting_reads_the_table(self, idx):
+        *_, (_, id_bytes), (_, code_bytes), (_, store_bytes) = _sections(idx)
+        acct = memory_accounting(idx.n, idx.d, idx.pq_book.s)
+        assert acct.per_point_pq == (id_bytes + code_bytes) / idx.ids.shape[0]
+        assert acct.per_point_full == store_bytes / idx.n
+
+    def test_cut_in_each_section_names_it(self, idx):
+        blob = serialize(idx)
+        starts = _section_starts(idx)
+        for (name, size), end in zip(_sections(idx), starts[1:]):
+            with pytest.raises(IndexFormatError) as info:
+                deserialize(blob[: end - 1])
+            assert str(info.value) == f"{name}: truncated: wanted {size} bytes, {size - 1} left"
+
+
+class TestMemoryAccounting:
+    def test_glove_like_per_point_bytes(self):
+        acct = memory_accounting(n=1_000_000, d=100, s=2, spilled=True)
+        assert acct.per_point_pq == 29  # 4-byte id + 25 packed code bytes
+        assert acct.per_point_full == 400
+        assert acct.soar_overhead_bytes == 29_000_000
+
+    def test_float32_relative_increase_near_one_seventeenth(self):
+        acct = memory_accounting(n=10, d=100, s=2, spilled=True)
+        assert acct.approx_relative_increase == pytest.approx(1.0 / 17.0)
+        assert abs(acct.relative_increase - 0.059) < 0.005
+
+    def test_unspilled_has_no_overhead(self):
+        acct = memory_accounting(n=500, d=16, s=2, spilled=False)
+        assert acct.soar_overhead_bytes == 0
+
+    def test_padding_reported(self):
+        acct = memory_accounting(n=10, d=5, s=2, spilled=True)
+        assert acct.per_point_pq == 4 + 2  # 3 nibbles round up to 2 bytes
+
+    def test_s_zero_rejected(self):
+        with pytest.raises(ValueError):
+            memory_accounting(n=10, d=4, s=0, spilled=True)

@@ -4,7 +4,6 @@ import pytest
 from soar.core import batch_inner_products
 from soar.pq import (
     PQCodebook,
-    memory_accounting,
     pq_decode,
     pq_encode_batch,
     score_codes,
@@ -142,31 +141,6 @@ class TestPqScore:
             via_table = score_codes(scoring_table(q, book), codes[i : i + 1])[0]
             via_decode = batch_inner_products(q, pq_decode(codes[i], book)[None, :])[0]
             assert via_table == pytest.approx(via_decode, rel=1e-5, abs=1e-6)
-
-
-class TestMemoryAccounting:
-    def test_glove_like_per_point_bytes(self):
-        acct = memory_accounting(n=1_000_000, d=100, s=2, spilled=True)
-        assert acct.per_point_pq == 29  # 4-byte id + 25 packed code bytes
-        assert acct.per_point_full == 400
-        assert acct.soar_overhead_bytes == 29_000_000
-
-    def test_float32_relative_increase_near_one_seventeenth(self):
-        acct = memory_accounting(n=10, d=100, s=2, spilled=True)
-        assert acct.approx_relative_increase == pytest.approx(1.0 / 17.0)
-        assert abs(acct.relative_increase - 0.059) < 0.005
-
-    def test_unspilled_has_no_overhead(self):
-        acct = memory_accounting(n=500, d=16, s=2, spilled=False)
-        assert acct.soar_overhead_bytes == 0
-
-    def test_padding_reported(self):
-        acct = memory_accounting(n=10, d=5, s=2, spilled=True)
-        assert acct.per_point_pq == 4 + 2  # 3 nibbles round up to 2 bytes
-
-    def test_s_zero_rejected(self):
-        with pytest.raises(ValueError):
-            memory_accounting(n=10, d=4, s=0, spilled=True)
 
 
 class TestTrainedSubspaces:

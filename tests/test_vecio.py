@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from soar.core import _FINITE_ROWS
 from soar.vecio import (
     DataFormatError,
     file_digest,
@@ -66,6 +67,23 @@ class TestFvecs:
         write_fvecs(path, np.array([[1.0]], dtype=np.float32))
         bad = bytearray(path.read_bytes())
         bad[4:8] = np.array([np.inf], "<f4").tobytes()
+        path.write_bytes(bytes(bad))
+        with pytest.raises(DataFormatError, match="non-finite"):
+            read_fvecs(path)
+
+    def test_non_finite_after_a_block_boundary(self, tmp_path):
+        """read_fvecs and write_fvecs check finiteness in blocks of rows, as
+        Dataset does; a NaN in the second block's first row is still found."""
+        path = tmp_path / "a.fvecs"
+        data = np.ones((_FINITE_ROWS + 2, 2), dtype=np.float32)
+        data[_FINITE_ROWS, 0] = np.nan
+        with pytest.raises(DataFormatError, match="refusing to write non-finite"):
+            write_fvecs(path, data)
+        data[_FINITE_ROWS, 0] = 1.0
+        write_fvecs(path, data)
+        bad = bytearray(path.read_bytes())
+        at = _FINITE_ROWS * 4 * 3 + 4  # that row's first value, after its dimension
+        bad[at : at + 4] = np.array([np.nan], "<f4").tobytes()
         path.write_bytes(bytes(bad))
         with pytest.raises(DataFormatError, match="non-finite"):
             read_fvecs(path)
