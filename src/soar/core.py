@@ -7,6 +7,8 @@ and emitted scores are rounded to float32 so that comparisons behave the
 same everywhere. Ties are broken by ascending datapoint id throughout.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,7 @@ __all__ = [
     "top_positions",
     "brute_force_mips",
     "rank",
+    "ordered_map",
 ]
 
 
@@ -146,3 +149,59 @@ def rank(q, v, X: Dataset) -> int:
     sv = np.float32(qv @ vv)
     return int(np.count_nonzero(scores >= sv))
 
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
+
+
+def ordered_map(fn, items) -> list:
+    """[fn(x) for x in items], in input order, run on P = min(len(items),
+    CPUs) threads.
+
+    The calling thread is one of the P workers: at most P - 1 threads are
+    started, and all are joined before this returns. Workers take the next
+    item in input order. Once a unit raises, no unit starts; the first
+    exception is raised here after the running units finish. It pays only
+    for units that spend their time in numpy calls that release the GIL,
+    and each unit must write nothing another unit reads.
+    """
+    items = list(items)
+    workers = min(len(items), _cpu_count())
+    if workers <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    positions = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(positions, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    errors.append(exc)
+                return
+
+    started = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results

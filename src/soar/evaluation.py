@@ -345,11 +345,23 @@ class TheoremReport:
     max_ratio_error: float  # worst relative mismatch of candidate ratios
 
 
-def mc_verify_theorem1(r, r_primes, lam: float, samples: int, seed=0) -> TheoremReport:
+def mc_verify_theorem1(r, r_primes, lams, samples: int, seed=0) -> list[TheoremReport]:
     """Estimate E[|cos(q, r)|^lam * <q, r'>^2] over unit-sphere queries for
-    each spill candidate r' and compare candidate ratios against the closed
-    form. Ratios cancel the dimension-dependent constant."""
-    _check_soar_lam(lam)
+    each spill candidate r' and each lambda, and compare candidate ratios
+    against the closed form; one report per lambda, in order. Ratios cancel
+    the dimension-dependent constant.
+
+    Under an integer seed every lambda is estimated from the same queries:
+    each block is drawn and its squared projections formed once, then added
+    into every lambda's float64 sums in block order, so each report equals a
+    run with the same seed and that one lambda. A SeedSequence advances with
+    every spawn, so under one each lambda draws its own blocks, in order,
+    exactly as one call per lambda on that SeedSequence would."""
+    lams = [float(lam) for lam in lams]
+    if not lams:
+        raise ValueError("need at least one lambda")
+    for lam in lams:
+        _check_soar_lam(lam)
     if samples < MIN_THEOREM_SAMPLES:
         raise ValueError(f"need at least {MIN_THEOREM_SAMPLES} samples, got {samples}")
     rv = np.asarray(r, dtype=np.float64)
@@ -369,17 +381,29 @@ def mc_verify_theorem1(r, r_primes, lam: float, samples: int, seed=0) -> Theorem
         raise ValueError("candidates must be nonzero")
     rhat = (rv / rnorm).astype(np.float32)
     cands32 = cands.astype(np.float32)
-    sums = np.zeros(cands.shape[0], dtype=np.float64)
-    for block in _sphere_blocks(rv.shape[0], samples, seed):
-        proj = block @ cands32.T
-        proj *= proj
-        if lam == 0.0:
-            sums += proj.sum(axis=0, dtype=np.float64)
-            continue
-        align = block @ rhat
-        weights = np.abs(align) ** np.float32(lam)
-        sums += (weights @ proj).astype(np.float64)
-    empirical = sums / samples
+    sums = np.zeros((len(lams), cands.shape[0]), dtype=np.float64)
+    if isinstance(seed, np.random.SeedSequence):
+        streams = [[k] for k in range(len(lams))]  # one spawn per lambda
+    else:
+        streams = [range(len(lams))]  # one stream shared by every lambda
+    for stream in streams:
+        for block in _sphere_blocks(rv.shape[0], samples, seed):
+            proj = block @ cands32.T
+            proj *= proj
+            align = None
+            for k in stream:
+                if lams[k] == 0.0:
+                    sums[k] += proj.sum(axis=0, dtype=np.float64)
+                    continue
+                if align is None:
+                    align = np.abs(block @ rhat)
+                sums[k] += (align ** np.float32(lams[k]) @ proj).astype(np.float64)
+    return [
+        _theorem_report(lam, samples, total / samples, cands, rv) for total, lam in zip(sums, lams)
+    ]
+
+
+def _theorem_report(lam: float, samples: int, empirical: np.ndarray, cands, rv) -> TheoremReport:
     closed = np.array([soar_loss(rp, rv, lam) for rp in cands])
     worst = 0.0
     for i in range(len(cands)):
@@ -387,7 +411,7 @@ def mc_verify_theorem1(r, r_primes, lam: float, samples: int, seed=0) -> Theorem
             ratio = (empirical[i] / empirical[j]) / (closed[i] / closed[j])
             worst = max(worst, abs(ratio - 1.0))
     return TheoremReport(
-        lam=float(lam),
+        lam=lam,
         samples=samples,
         empirical=empirical,
         closed_form=closed,

@@ -6,6 +6,12 @@ codebook trained with k-means, and a code stores one nibble per subspace,
 packed two per byte. Scoring goes through a per-query lookup table, so the
 approximate score of a code is the inner product of the query with the
 decoded vector, up to float64 rounding.
+
+The m subspaces are independent: each trains from its own SeedSequence
+child on its own column slice, and each encodes into its own code column,
+in blocks of _ENCODE_ROWS rows. Training and encoding run the subspaces
+through core.ordered_map, one thread per CPU with the caller as one of
+them, and the codebooks and codes are the same bits at every CPU count.
 """
 
 import math
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ordered_map
 from .vq import lloyd_kmeans
 
 __all__ = [
@@ -27,6 +34,7 @@ __all__ = [
 ]
 
 SUBSPACE_CENTERS = 16  # 4-bit codes, two per byte
+_ENCODE_ROWS = 4096  # rows per block of the encode's (rows, 16, s) differences
 
 
 @dataclass(frozen=True)
@@ -88,11 +96,14 @@ def train_pq(residuals, s: int, seed: int = 0, max_iters: int = 25) -> PQCodeboo
     m = math.ceil(d / s)
     rows = _pad_rows(rows, m * s)
     seeds = np.random.SeedSequence(seed).spawn(m)
-    centers = np.empty((m, SUBSPACE_CENTERS, s), dtype=np.float32)
-    for j in range(m):
+    k = min(SUBSPACE_CENTERS, rows.shape[0])
+
+    def train_subspace(j: int) -> np.ndarray:
         sub = rows[:, j * s : (j + 1) * s]
-        k = min(SUBSPACE_CENTERS, sub.shape[0])
-        trained = lloyd_kmeans(sub, k, max_iters=max_iters, rng=np.random.default_rng(seeds[j]))
+        return lloyd_kmeans(sub, k, max_iters=max_iters, rng=np.random.default_rng(seeds[j]))
+
+    centers = np.empty((m, SUBSPACE_CENTERS, s), dtype=np.float32)
+    for j, trained in enumerate(ordered_map(train_subspace, range(m))):
         centers[j, :k] = trained
         if k < SUBSPACE_CENTERS:
             centers[j, k:] = trained[0]  # fewer points than centers: repeat
@@ -102,14 +113,18 @@ def train_pq(residuals, s: int, seed: int = 0, max_iters: int = 25) -> PQCodeboo
 def _nearest_codes(rows: np.ndarray, book: PQCodebook) -> np.ndarray:
     """(n, m) uint8 matrix of per-subspace nearest-center indices."""
     rows = _pad_rows(np.asarray(rows, dtype=np.float64), book.padded_d)
-    n = rows.shape[0]
+    n, s = rows.shape[0], book.s
     codes = np.empty((n, book.m), dtype=np.uint8)
     centers = book.centers.astype(np.float64)
-    for j in range(book.m):
-        sub = rows[:, j * book.s : (j + 1) * book.s]
-        diff = sub[:, None, :] - centers[j][None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        codes[:, j] = d2.argmin(axis=1)  # ties take the lowest center index
+
+    def encode_subspace(j: int) -> None:
+        for lo in range(0, n, _ENCODE_ROWS):
+            sub = rows[lo : lo + _ENCODE_ROWS, j * s : (j + 1) * s]
+            diff = sub[:, None, :] - centers[j][None, :, :]
+            d2 = (diff * diff).sum(axis=2)
+            codes[lo : lo + _ENCODE_ROWS, j] = d2.argmin(axis=1)  # ties take the lowest index
+
+    ordered_map(encode_subspace, range(book.m))  # each subspace writes its own column
     return codes
 
 

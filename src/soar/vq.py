@@ -32,6 +32,7 @@ __all__ = [
 POLICIES = ("none", "naive", "soar")
 
 _CHUNK = 8192  # rows per block in pairwise-distance work; bounds peak memory
+_SEED_ROWS = 4096  # rows per block of k-means++ seeding's distance updates
 
 
 def _check_soar_lam(lam) -> None:
@@ -153,17 +154,25 @@ def _nearest_center(
 
 
 def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((c, points.shape[1]), dtype=np.float64)
-    buf = np.empty_like(points)  # one (n, d) work buffer reused for every seed
+    n, d = points.shape
+    centers = np.empty((c, d), dtype=np.float64)
+    rows = min(n, _SEED_ROWS)
+    buf = np.empty((rows, d))  # work buffers reused for every block of every seed
+    step = np.empty(rows)
+    d2 = np.full(n, np.inf)  # min(inf, x) == x, so the first seed needs no special case
 
-    def sq_dists_to(center: np.ndarray) -> np.ndarray:
-        np.subtract(points, center, out=buf)
-        np.multiply(buf, buf, out=buf)
-        return buf.sum(axis=1)
+    def lower_to(center: np.ndarray) -> None:
+        """d2 = min(d2, squared distance to center), _SEED_ROWS rows at a time."""
+        for lo in range(0, n, _SEED_ROWS):
+            hi = min(lo + _SEED_ROWS, n)
+            block, dist = buf[: hi - lo], step[: hi - lo]
+            np.subtract(points[lo:hi], center, out=block)
+            np.multiply(block, block, out=block)
+            block.sum(axis=1, out=dist)
+            np.minimum(d2[lo:hi], dist, out=d2[lo:hi])
 
     centers[0] = points[int(rng.integers(n))]
-    d2 = sq_dists_to(centers[0])
+    lower_to(centers[0])
     for j in range(1, c):
         total = d2.sum()
         if total > 0.0:
@@ -171,7 +180,7 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.integers(n))  # all mass already covered (duplicate-heavy data)
         centers[j] = points[idx]
-        np.minimum(d2, sq_dists_to(centers[j]), out=d2)
+        lower_to(centers[j])
     return centers
 
 

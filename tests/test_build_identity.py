@@ -188,6 +188,16 @@ def test_kmeanspp_seeding_matches_reference():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n, d", [(4097, 1), (2 * 4096 + 1, 3), (4096 + 700, 64), (4095, 9)])
+def test_kmeanspp_seeding_matches_reference_across_blocks(n, d):
+    # seeding updates its distances 4,096 rows at a time; a last block of
+    # one row is reduced as a 1-D row
+    points = _mixture(n, d, seed=n + d) * np.random.default_rng(d).uniform(1e-3, 1e3, (n, 1))
+    got = soar.vq._kmeanspp_init(points, 12, np.random.default_rng(2))
+    want = _kmeanspp_init(points, 12, np.random.default_rng(2))
+    assert np.array_equal(got, want)
+
+
 def test_center_sums_match_add_at():
     # float64 sums, before the float32 cast that could hide an ulp
     rng = np.random.default_rng(19)
@@ -232,7 +242,8 @@ def test_serialized_index_matches_reference(monkeypatch, policy):
 
 
 # ---------------------------------------------------------------------------
-# BLAS thread count does not reach the bytes, the search results or the evaluation
+# Neither the BLAS thread count nor the CPU count reaches the bytes, the search
+# results or the evaluation
 
 _HASH_BUILD = """
 import dataclasses
@@ -268,15 +279,18 @@ print(hashlib.sha256(
 """
 
 
-def _hashes_with_threads(threads: int) -> list[str]:
+def _hashes_with_threads(threads: int, cpu: int | None = None) -> list[str]:
     """(index bytes, search results, evaluation outputs) hashes from a fresh
-    interpreter."""
+    interpreter, pinned to the one CPU `cpu` when it is given."""
     src = str(Path(soar.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = _HASH_BUILD
+    if cpu is not None:
+        script = f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n" + script
     out = subprocess.run(
-        [sys.executable, "-c", _HASH_BUILD], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.split()
 
@@ -302,3 +316,17 @@ def test_evaluation_does_not_depend_on_blas_threads(thread_hashes):
     one, two = thread_hashes
     assert len(one[2]) == 64
     assert one[2] == two[2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_outputs_do_not_depend_on_cpu_count(thread_hashes, threads):
+    """build trains and encodes the PQ subspaces on one thread per CPU; a
+    process pinned to one CPU runs them all on the calling thread."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available on this platform")
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is available, so pinned and unpinned runs are the same")
+    pinned = _hashes_with_threads(threads, cpu=min(cpus))
+    assert len(pinned) == 3
+    assert pinned == thread_hashes[threads - 1]

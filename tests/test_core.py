@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from soar.core import (
     Neighbor,
     batch_inner_products,
     brute_force_mips,
+    ordered_map,
     rank,
 )
 
@@ -153,3 +159,109 @@ class TestRank:
         with pytest.raises(ValueError):
             rank([1.0, 2.0], [1.0, 2.0, 3.0], X)
 
+
+
+class TestOrderedMap:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the affinity ordered_map sees to the given number of CPUs."""
+
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+
+        return set_cpus
+
+    def test_results_in_input_order_when_units_finish_out_of_order(self, cpus):
+        cpus(4)
+        finished = []
+
+        def unit(x):
+            time.sleep(0.01 * (8 - x))  # early units finish last
+            finished.append(x)
+            return x * x
+
+        assert ordered_map(unit, range(8)) == [x * x for x in range(8)]
+        assert sorted(finished) == list(range(8))
+        assert finished != sorted(finished)
+
+    def test_exception_reaches_caller_and_stops_the_pool(self, cpus):
+        cpus(4)
+        before = threading.active_count()
+        starts, raised = {}, []
+
+        def unit(x):
+            starts[x] = time.monotonic()
+            if x == 1:
+                raised.append(time.monotonic())
+                raise KeyError("unit 1")
+            time.sleep(0.05)
+            return x
+
+        with pytest.raises(KeyError, match="unit 1"):
+            ordered_map(unit, range(20))
+        assert threading.active_count() == before
+        assert 1 in starts and len(starts) < 20
+        assert all(start <= raised[0] for start in starts.values())
+
+    def test_empty_and_single_item_start_no_thread(self, cpus, monkeypatch):
+        cpus(4)
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("ordered_map started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_threads)
+        callers = []
+
+        def unit(x):
+            callers.append(threading.current_thread())
+            return x + 1
+
+        assert ordered_map(unit, []) == []
+        assert ordered_map(unit, [41]) == [42]
+        assert callers == [threading.current_thread()]
+
+    @pytest.mark.parametrize("items, pool", [(10, 4), (3, 3)])
+    def test_pool_is_affinity_capped_by_item_count(self, cpus, items, pool):
+        cpus(4)
+        before = threading.active_count()
+        # the first `pool` units run at once, or the barrier times out
+        barrier = threading.Barrier(pool, timeout=10)
+        lock = threading.Lock()
+        idents, running, peak = set(), [0], [0]
+
+        def unit(x):
+            with lock:
+                idents.add(threading.get_ident())
+                running[0] += 1
+                peak[0] = max(peak[0], running[0], threading.active_count() - before + 1)
+            if x < pool:
+                barrier.wait()
+            with lock:
+                running[0] -= 1
+            return x
+
+        assert ordered_map(unit, range(items)) == list(range(items))
+        assert threading.get_ident() in idents
+        assert len(idents) == pool
+        assert peak[0] == pool
+        assert threading.active_count() == before
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert soar.core._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert soar.core._cpu_count() == 1
+
+    def test_every_unit_runs_once_under_fast_switching(self, cpus):
+        cpus(8)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = ordered_map(lambda x: calls.append(x) or -x, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-x for x in range(3000)]
+        assert sorted(calls) == list(range(3000))

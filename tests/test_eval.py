@@ -339,7 +339,7 @@ class TestTheoremMc:
         rng = np.random.default_rng(101)
         r = rng.standard_normal(8)
         cands = rng.standard_normal((4, 8))
-        rep = mc_verify_theorem1(r, cands, lam=0.0, samples=MIN_THEOREM_SAMPLES, seed=7)
+        (rep,) = mc_verify_theorem1(r, cands, [0.0], samples=MIN_THEOREM_SAMPLES, seed=7)
         np.testing.assert_allclose(rep.closed_form, np.linalg.norm(cands, axis=1) ** 2)
         assert rep.max_ratio_error < 0.02
 
@@ -350,8 +350,8 @@ class TestTheoremMc:
         parallel[0] = 0.7
         orthogonal = np.zeros(16)
         orthogonal[1] = 0.7
-        rep = mc_verify_theorem1(
-            r, [parallel, orthogonal], lam=1.0, samples=MIN_THEOREM_SAMPLES, seed=7
+        (rep,) = mc_verify_theorem1(
+            r, [parallel, orthogonal], [1.0], samples=MIN_THEOREM_SAMPLES, seed=7
         )
         assert rep.closed_form[0] / rep.closed_form[1] == pytest.approx(2.0)
         assert rep.empirical[0] / rep.empirical[1] == pytest.approx(2.0, rel=0.05)
@@ -363,22 +363,21 @@ class TestTheoremMc:
         for trial in range(10):
             r = rng.standard_normal(8)
             cands = rng.standard_normal((3, 8))
-            small.append(
-                mc_verify_theorem1(r, cands, 1.0, MIN_THEOREM_SAMPLES, seed=trial).max_ratio_error
-            )
+            (rep,) = mc_verify_theorem1(r, cands, [1.0], MIN_THEOREM_SAMPLES, seed=trial)
+            small.append(rep.max_ratio_error)
             large.append(
                 mc_verify_theorem1(
-                    r, cands, 1.0, 4 * MIN_THEOREM_SAMPLES, seed=trial
-                ).max_ratio_error
+                    r, cands, [1.0], 4 * MIN_THEOREM_SAMPLES, seed=trial
+                )[0].max_ratio_error
             )
         assert np.mean(large) < np.mean(small)
 
     def test_deterministic_per_seed(self):
         r = np.arange(1.0, 7.0)
         cands = np.eye(6)[:2]
-        a = mc_verify_theorem1(r, cands, 1.0, MIN_THEOREM_SAMPLES, seed=3)
-        b = mc_verify_theorem1(r, cands, 1.0, MIN_THEOREM_SAMPLES, seed=3)
-        c = mc_verify_theorem1(r, cands, 1.0, MIN_THEOREM_SAMPLES, seed=4)
+        (a,) = mc_verify_theorem1(r, cands, [1.0], MIN_THEOREM_SAMPLES, seed=3)
+        (b,) = mc_verify_theorem1(r, cands, [1.0], MIN_THEOREM_SAMPLES, seed=3)
+        (c,) = mc_verify_theorem1(r, cands, [1.0], MIN_THEOREM_SAMPLES, seed=4)
         np.testing.assert_array_equal(a.empirical, b.empirical)
         assert not np.array_equal(a.empirical, c.empirical)
 
@@ -386,32 +385,64 @@ class TestTheoremMc:
         r = np.arange(1.0, 5.0)
         cands = np.eye(4)[:2]
         ss = np.random.SeedSequence(12)
-        a = mc_verify_theorem1(r, cands, 1.0, MIN_THEOREM_SAMPLES, seed=ss)
-        b = mc_verify_theorem1(
-            r, cands, 1.0, MIN_THEOREM_SAMPLES, seed=np.random.SeedSequence(12)
+        (a,) = mc_verify_theorem1(r, cands, [1.0], MIN_THEOREM_SAMPLES, seed=ss)
+        (b,) = mc_verify_theorem1(
+            r, cands, [1.0], MIN_THEOREM_SAMPLES, seed=np.random.SeedSequence(12)
         )
         np.testing.assert_array_equal(a.empirical, b.empirical)
+
+    def test_one_draw_per_block_for_all_lambdas(self):
+        """Every lambda's report equals a run with that lambda alone, bit for
+        bit, and the reports come back in the order of the lambdas."""
+        rng = np.random.default_rng(56)
+        r = rng.standard_normal(6)
+        cands = rng.standard_normal((3, 6))
+        lams = [2.0, 0.0, 0.5, 1.0]
+        together = mc_verify_theorem1(r, cands, lams, MIN_THEOREM_SAMPLES + 7, seed=9)
+        assert [rep.lam for rep in together] == lams
+        for lam, rep in zip(lams, together):
+            (alone,) = mc_verify_theorem1(r, cands, [lam], MIN_THEOREM_SAMPLES + 7, seed=9)
+            assert rep.empirical.tobytes() == alone.empirical.tobytes()
+            assert rep.closed_form.tobytes() == alone.closed_form.tobytes()
+            assert rep.max_ratio_error == alone.max_ratio_error
+
+    def test_seed_sequence_draws_once_per_lambda(self):
+        """Spawning advances a SeedSequence, so each lambda gets the blocks
+        that one call per lambda on the same SeedSequence would draw."""
+        rng = np.random.default_rng(57)
+        r = rng.standard_normal(6)
+        cands = rng.standard_normal((2, 6))
+        lams = [0.0, 1.0, 2.0]
+        together = mc_verify_theorem1(
+            r, cands, lams, MIN_THEOREM_SAMPLES, seed=np.random.SeedSequence(4)
+        )
+        ss = np.random.SeedSequence(4)
+        for lam, rep in zip(lams, together):
+            (alone,) = mc_verify_theorem1(r, cands, [lam], MIN_THEOREM_SAMPLES, seed=ss)
+            assert rep.empirical.tobytes() == alone.empirical.tobytes()
 
     def test_validation(self):
         r = np.ones(4)
         cands = np.eye(4)[:2]
+        with pytest.raises(ValueError, match="at least one lambda"):
+            mc_verify_theorem1(r, cands, [], MIN_THEOREM_SAMPLES)
         with pytest.raises(ValueError):
-            mc_verify_theorem1(r, cands, -1.0, MIN_THEOREM_SAMPLES)
+            mc_verify_theorem1(r, cands, [-1.0], MIN_THEOREM_SAMPLES)
         with pytest.raises(ValueError):
-            mc_verify_theorem1(r, cands, 1.0, MIN_THEOREM_SAMPLES - 1)
+            mc_verify_theorem1(r, cands, [1.0], MIN_THEOREM_SAMPLES - 1)
         with pytest.raises(ValueError):
-            mc_verify_theorem1(np.zeros(4), cands, 1.0, MIN_THEOREM_SAMPLES)
+            mc_verify_theorem1(np.zeros(4), cands, [1.0], MIN_THEOREM_SAMPLES)
         with pytest.raises(ValueError):
-            mc_verify_theorem1(r, cands[:1], 1.0, MIN_THEOREM_SAMPLES)
+            mc_verify_theorem1(r, cands[:1], [1.0], MIN_THEOREM_SAMPLES)
         with pytest.raises(ValueError):
-            mc_verify_theorem1(r, np.zeros((2, 4)), 1.0, MIN_THEOREM_SAMPLES)
+            mc_verify_theorem1(r, np.zeros((2, 4)), [1.0], MIN_THEOREM_SAMPLES)
         with pytest.raises(ValueError):
-            mc_verify_theorem1(r, np.eye(5)[:2], 1.0, MIN_THEOREM_SAMPLES)
+            mc_verify_theorem1(r, np.eye(5)[:2], [1.0], MIN_THEOREM_SAMPLES)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
     def test_lambda_must_be_finite_and_non_negative(self, lam):
         with pytest.raises(ValueError, match="requires a finite lam >= 0"):
-            mc_verify_theorem1(np.ones(4), np.eye(4)[:2], lam, MIN_THEOREM_SAMPLES)
+            mc_verify_theorem1(np.ones(4), np.eye(4)[:2], [1.0, lam], MIN_THEOREM_SAMPLES)
 
 
 class TestLemmaMc:
