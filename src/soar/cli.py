@@ -148,11 +148,7 @@ def _fixed(values: np.ndarray, places: int) -> list[str]:
 
 
 def _load_dataset(path) -> Dataset:
-    """The fvecs file as a Dataset over the array read_fvecs returns, which
-    nothing else holds, so it is made read-only instead of copied."""
-    data = vecio.read_fvecs(path)
-    data.setflags(write=False)
-    return Dataset._view(data)
+    return Dataset(vecio.read_fvecs(path))
 
 
 def _load_indices(paths, queries) -> tuple[list[index_mod.SoarIndex], Dataset]:
@@ -409,10 +405,8 @@ def cmd_verify(args) -> int:
     for i in range(cfg["pairs"]):
         r = rng.standard_normal(cfg["d"])
         cands = rng.standard_normal((2, cfg["d"]))
-        reports = evaluation.mc_verify_theorem1(
-            r, cands, cfg["lambdas"], cfg["samples"], seed=seeds[i]
-        )
-        for lam, report in zip(cfg["lambdas"], reports):
+        for lam in cfg["lambdas"]:
+            (report,) = evaluation.mc_verify_theorem1(r, cands, [lam], cfg["samples"], seed=seeds[i])
             passed = report.max_ratio_error <= cfg["theorem_tol"]
             ok &= passed
             status = "PASS" if passed else "FAIL"

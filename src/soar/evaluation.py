@@ -351,12 +351,10 @@ def mc_verify_theorem1(r, r_primes, lams, samples: int, seed=0) -> list[TheoremR
     against the closed form; one report per lambda, in order. Ratios cancel
     the dimension-dependent constant.
 
-    Under an integer seed every lambda is estimated from the same queries:
-    each block is drawn and its squared projections formed once, then added
-    into every lambda's float64 sums in block order, so each report equals a
-    run with the same seed and that one lambda. A SeedSequence advances with
-    every spawn, so under one each lambda draws its own blocks, in order,
-    exactly as one call per lambda on that SeedSequence would."""
+    Every lambda is estimated from the same queries: each block is drawn
+    and its squared projections formed once, then added into every lambda's
+    float64 sums in block order, so each report equals a run with the same
+    seed and that one lambda."""
     lams = [float(lam) for lam in lams]
     if not lams:
         raise ValueError("need at least one lambda")
@@ -382,22 +380,17 @@ def mc_verify_theorem1(r, r_primes, lams, samples: int, seed=0) -> list[TheoremR
     rhat = (rv / rnorm).astype(np.float32)
     cands32 = cands.astype(np.float32)
     sums = np.zeros((len(lams), cands.shape[0]), dtype=np.float64)
-    if isinstance(seed, np.random.SeedSequence):
-        streams = [[k] for k in range(len(lams))]  # one spawn per lambda
-    else:
-        streams = [range(len(lams))]  # one stream shared by every lambda
-    for stream in streams:
-        for block in _sphere_blocks(rv.shape[0], samples, seed):
-            proj = block @ cands32.T
-            proj *= proj
-            align = None
-            for k in stream:
-                if lams[k] == 0.0:
-                    sums[k] += proj.sum(axis=0, dtype=np.float64)
-                    continue
-                if align is None:
-                    align = np.abs(block @ rhat)
-                sums[k] += (align ** np.float32(lams[k]) @ proj).astype(np.float64)
+    for block in _sphere_blocks(rv.shape[0], samples, seed):
+        proj = block @ cands32.T
+        proj *= proj
+        align = None
+        for k, lam in enumerate(lams):
+            if lam == 0.0:
+                sums[k] += proj.sum(axis=0, dtype=np.float64)
+                continue
+            if align is None:
+                align = np.abs(block @ rhat)
+            sums[k] += (align ** np.float32(lam) @ proj).astype(np.float64)
     return [
         _theorem_report(lam, samples, total / samples, cands, rv) for total, lam in zip(sums, lams)
     ]

@@ -10,7 +10,7 @@ decoded vector, up to float64 rounding.
 The m subspaces are independent: each trains from its own SeedSequence
 child on its own column slice, and each encodes into its own code column,
 in blocks of _ENCODE_ROWS rows. Training and encoding run the subspaces
-through core.ordered_map, one thread per CPU with the caller as one of
+through core.ordered_map, on up to two threads with the caller as one of
 them, and the codebooks and codes are the same bits at every CPU count.
 """
 

@@ -320,7 +320,7 @@ def test_evaluation_does_not_depend_on_blas_threads(thread_hashes):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_outputs_do_not_depend_on_cpu_count(thread_hashes, threads):
-    """build trains and encodes the PQ subspaces on one thread per CPU; a
+    """build trains and encodes the PQ subspaces on up to two threads; a
     process pinned to one CPU runs them all on the calling thread."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available on this platform")

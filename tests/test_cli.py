@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from soar.cli import _load_dataset, main
-from soar.core import Dataset
-from soar.index import build, load, serialize
+from soar.cli import main
+from soar.index import load
 from soar.vecio import read_fvecs, write_fvecs, write_ivecs
 
 
@@ -131,21 +130,6 @@ class TestBuild:
         assert code == 2 and "no space" in err
         assert (workspace / "soar.soar").read_bytes() == before
         assert sorted(p.name for p in workspace.iterdir()) == listing
-
-    def test_loaded_dataset_is_the_read_array_read_only(self, workspace, capsys):
-        """The CLI wraps the array read_fvecs returns instead of copying it;
-        the index it builds is the one a copying Dataset gives."""
-        X = _load_dataset("data.fvecs")
-        assert X.data.dtype == np.float32
-        assert np.array_equal(X.data, read_fvecs("data.fvecs"))
-        with pytest.raises(ValueError):
-            X.data[0, 0] = 1.0
-        code, _, _ = run(capsys, "build", "data.fvecs", "--c", "8", "--policy", "soar",
-                         "--out", "again.soar")
-        assert code == 0
-        copied = Dataset(read_fvecs("data.fvecs"))
-        want = serialize(build(copied, c=8, policy="soar", s=2, seed=42, lam=1.0))
-        assert (workspace / "again.soar").read_bytes() == want
 
     def test_policy_stored(self, workspace):
         for policy in ("none", "naive", "soar"):

@@ -164,16 +164,19 @@ class TestRank:
 class TestOrderedMap:
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Sets the affinity ordered_map sees to the given number of CPUs."""
+        """Sets the affinity ordered_map sees to the given number of CPUs and,
+        when given, its thread cap."""
 
-        def set_cpus(count):
+        def set_cpus(count, most=None):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                                 raising=False)
+            if most is not None:
+                monkeypatch.setattr(soar.core, "_MAX_WORKERS", most)
 
         return set_cpus
 
     def test_results_in_input_order_when_units_finish_out_of_order(self, cpus):
-        cpus(4)
+        cpus(4, most=4)
         finished = []
 
         def unit(x):
@@ -186,23 +189,30 @@ class TestOrderedMap:
         assert finished != sorted(finished)
 
     def test_exception_reaches_caller_and_stops_the_pool(self, cpus):
-        cpus(4)
+        cpus(4, most=4)
         before = threading.active_count()
-        starts, raised = {}, []
+        # Each of the first 4 units holds its own worker at the barrier. The
+        # lowest of them on a helper thread raises; the others wait until
+        # that helper has left ordered_map's worker loop, which it does only
+        # after the error is recorded, so no further unit may start.
+        barrier = threading.Barrier(4, timeout=10)
+        threads = {}
 
         def unit(x):
-            starts[x] = time.monotonic()
-            if x == 1:
-                raised.append(time.monotonic())
-                raise KeyError("unit 1")
-            time.sleep(0.05)
+            threads[x] = threading.current_thread()
+            if x >= 4:
+                return x
+            barrier.wait()
+            failing = min(i for i, t in threads.items() if t is not threading.main_thread())
+            if x == failing:
+                raise KeyError(f"unit {x}")
+            threads[failing].join(timeout=10)
             return x
 
-        with pytest.raises(KeyError, match="unit 1"):
+        with pytest.raises(KeyError, match="unit"):
             ordered_map(unit, range(20))
         assert threading.active_count() == before
-        assert 1 in starts and len(starts) < 20
-        assert all(start <= raised[0] for start in starts.values())
+        assert sorted(threads) == [0, 1, 2, 3]
 
     def test_empty_and_single_item_start_no_thread(self, cpus, monkeypatch):
         cpus(4)
@@ -221,9 +231,12 @@ class TestOrderedMap:
         assert ordered_map(unit, [41]) == [42]
         assert callers == [threading.current_thread()]
 
-    @pytest.mark.parametrize("items, pool", [(10, 4), (3, 3)])
-    def test_pool_is_affinity_capped_by_item_count(self, cpus, items, pool):
-        cpus(4)
+    @pytest.mark.parametrize(
+        "most, items, pool",
+        [(8, 10, 4), (8, 3, 3), (None, 10, min(4, soar.core._MAX_WORKERS))],
+    )
+    def test_pool_is_affinity_capped_by_item_count_and_cap(self, cpus, most, items, pool):
+        cpus(4, most)
         before = threading.active_count()
         # the first `pool` units run at once, or the barrier times out
         barrier = threading.Barrier(pool, timeout=10)
@@ -255,7 +268,7 @@ class TestOrderedMap:
         assert soar.core._cpu_count() == 1
 
     def test_every_unit_runs_once_under_fast_switching(self, cpus):
-        cpus(8)
+        cpus(8, most=8)
         calls = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

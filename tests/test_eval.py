@@ -406,21 +406,6 @@ class TestTheoremMc:
             assert rep.closed_form.tobytes() == alone.closed_form.tobytes()
             assert rep.max_ratio_error == alone.max_ratio_error
 
-    def test_seed_sequence_draws_once_per_lambda(self):
-        """Spawning advances a SeedSequence, so each lambda gets the blocks
-        that one call per lambda on the same SeedSequence would draw."""
-        rng = np.random.default_rng(57)
-        r = rng.standard_normal(6)
-        cands = rng.standard_normal((2, 6))
-        lams = [0.0, 1.0, 2.0]
-        together = mc_verify_theorem1(
-            r, cands, lams, MIN_THEOREM_SAMPLES, seed=np.random.SeedSequence(4)
-        )
-        ss = np.random.SeedSequence(4)
-        for lam, rep in zip(lams, together):
-            (alone,) = mc_verify_theorem1(r, cands, [lam], MIN_THEOREM_SAMPLES, seed=ss)
-            assert rep.empirical.tobytes() == alone.empirical.tobytes()
-
     def test_validation(self):
         r = np.ones(4)
         cands = np.eye(4)[:2]
