@@ -9,7 +9,7 @@ same everywhere. Ties are broken by ascending datapoint id throughout.
 
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +81,10 @@ def _all_finite(arr: np.ndarray) -> bool:
     return all(np.isfinite(rows[i : i + block]).all() for i in range(0, len(rows), block))
 
 
-@dataclass(frozen=True, order=False)
-class Neighbor:
-    """A search result: datapoint id plus its (float32-rounded) score."""
+class Neighbor(NamedTuple):
+    """A search result: datapoint id plus its (float32-rounded) score.
+
+    Immutable; equal to, hashed and unpacked as the tuple (id, score)."""
 
     id: int
     score: float
@@ -107,8 +108,12 @@ def batch_inner_products(q, rows: np.ndarray) -> np.ndarray:
     return (mat @ qv).astype(np.float32)
 
 
-# Below this many entries a full lexsort is cheaper than the selection's
-# fixed cost of about 10 us (2-vCPU host: equal at 300-400 entries).
+# Below this many entries, in all or kept, a lexsort is cheaper than
+# selecting first or sorting by score alone and checking for ties. Timed
+# alone on a fresh array per call they break even at about 200 entries
+# (2-vCPU host), but inside `search` the selection cost 18-30 us more per
+# query over the shell index's 250 centers, and the single-key sort 5 us
+# more on the 4 centers kept of fine-p4-none's 400.
 _SELECT_FROM = 300
 
 
@@ -117,16 +122,27 @@ def top_positions(scores: np.ndarray, count: int, tiebreak: np.ndarray | None = 
     descending, ties by ascending tiebreak (the position when None).
 
     Selects instead of sorting: every entry scoring at least the count-th
-    best is kept (np.partition, ties at the cut included) and only those are
-    lexsorted, so the answer is the full sort's prefix. Below _SELECT_FROM
-    entries it sorts them all. count >= 1.
+    best is kept (np.partition, ties at the cut included), so the answer is
+    the full sort's prefix. From _SELECT_FROM kept entries on they are
+    sorted by score alone (np.argsort), which is the lexsort's order when
+    the sorted scores are strictly increasing; fewer, or an exact tie (+0.0
+    against -0.0 included), take the lexsort. Below _SELECT_FROM entries,
+    or when a NaN (which np.partition puts last) leaves fewer than `count`
+    kept, it lexsorts them all. `search` never passes a NaN. count >= 1.
     """
     size = scores.shape[0]
-    if count >= size or size < _SELECT_FROM:
+    kept = None
+    if count < size and size >= _SELECT_FROM:
+        kept = np.flatnonzero(scores >= np.partition(scores, size - count)[size - count])
+    if kept is None or kept.shape[0] < count:
         return np.lexsort((np.arange(size) if tiebreak is None else tiebreak, -scores))[:count]
-    kept = np.flatnonzero(scores >= np.partition(scores, size - count)[size - count])
-    keys = kept if tiebreak is None else tiebreak[kept]
-    return kept[np.lexsort((keys, -scores[kept]))[:count]]
+    neg = -scores[kept]
+    if kept.shape[0] >= _SELECT_FROM:
+        order = np.argsort(neg)
+        ranked = neg[order]
+        if (ranked[1:] > ranked[:-1]).all():
+            return kept[order[:count]]
+    return kept[np.lexsort((kept if tiebreak is None else tiebreak[kept], neg))[:count]]
 
 
 def brute_force_mips(q, X: Dataset, k: int) -> list[Neighbor]:

@@ -19,7 +19,8 @@ of the best entries by (approximate score desc, id asc); rerank the first
 `rerank` distinct ids among them with exact float32 scores, return the top
 k. The probe, pool and k cuts each select with `core.top_positions` (ties
 by partition id or datapoint id) instead of sorting everything, so none of
-it depends on the row order within a partition.
+it depends on the row order within a partition; the rerank gathers the
+candidates' full-store rows with `np.take`.
 
 The pool is `rerank` entries without a spill, where every id has one
 entry. Under a spill it is 2 x `rerank`, and each id keeps only its first
@@ -27,7 +28,9 @@ entry: in that order an id's first entry is its best one, and the first
 entries come in the order that deduplicating every scanned entry by best
 score and sorting would give. An id has at most two entries, so the first
 2 x `rerank` entries hold at least `rerank` distinct ids, and those are
-the candidates a full dedup would rerank.
+the candidates a full dedup would rerank. The dedup sorts the pool's ids
+once: an id's two entries end up side by side, and the later pool
+position of each such pair is dropped.
 
 On-disk format (".soar", little-endian throughout): the header, then the
 CSR table as it is held in memory. The header is
@@ -372,10 +375,14 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     # GEMV's result for a row can depend on its position.
     cand = ids[top_positions(approx, pool, ids)].astype(np.int64)
     if spilled:
-        _, first = np.unique(cand, return_index=True)
-        cand = cand[np.sort(first)]
+        # sorted by id, an id's two entries sit side by side; drop the later
+        by_id = np.argsort(cand)
+        pairs = np.flatnonzero(cand[by_id[1:]] == cand[by_id[:-1]])
+        keep = np.ones(cand.shape[0], dtype=bool)
+        keep[np.maximum(by_id[pairs], by_id[pairs + 1])] = False
+        cand = cand[keep]
     cand = cand[:rerank]
-    exact = batch_inner_products(qv, index.full_store.data[cand])
+    exact = batch_inner_products(qv, np.take(index.full_store.data, cand, axis=0))
     top = top_positions(exact, params.k, cand)
     neighbors = list(map(Neighbor, cand[top].tolist(), exact[top].tolist()))
     return SearchResult(neighbors=neighbors, datapoints_scanned=scanned)

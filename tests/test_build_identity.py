@@ -258,13 +258,15 @@ X = means[rng.integers(16, size=12000)] + rng.standard_normal((12000, 48))
 index = build(Dataset(X.astype(np.float32)), c=40, policy="soar", s=2, seed=3, lam=1.0)
 print(hashlib.sha256(serialize(index)).hexdigest())
 Q = means[rng.integers(16, size=60)] + rng.standard_normal((60, 48))
-# the unspilled index skips search's first-entry pass
+# the unspilled index skips search's first-entry pass; k=100 cuts a pool
+# of 2,000 entries under the spill, 1,000 without it
 unspilled = build(Dataset(X.astype(np.float32)), c=40, policy="none", s=2, seed=3)
+searches = [SearchParams(k=10, probes=p) for p in (1, 4, 16)] + [SearchParams(k=100, probes=16)]
 answers = [
     (r.datapoints_scanned, [(nb.id, nb.score) for nb in r.neighbors])
     for idx in (index, unspilled)
     for q in Q
-    for r in (search(idx, q, SearchParams(k=10, probes=p)) for p in (1, 4, 16))
+    for r in (search(idx, q, params) for params in searches)
 ]
 print(hashlib.sha256(repr(answers).encode()).hexdigest())
 Qd = Dataset(Q.astype(np.float32))

@@ -80,6 +80,33 @@ class TestInnerProduct:
             batch_inner_products([1.0, 2.0], [[1.0, 2.0, 3.0]])
 
 
+class TestNeighbor:
+    def test_immutable(self):
+        nb = Neighbor(3, 0.5)
+        with pytest.raises(AttributeError):
+            nb.score = 1.0
+        with pytest.raises(AttributeError):
+            nb.id = 4
+
+    def test_repr(self):
+        assert repr(Neighbor(3, 0.5)) == "Neighbor(id=3, score=0.5)"
+
+    def test_hash_is_the_pair_hash(self):
+        assert hash(Neighbor(3, 0.5)) == hash((3, 0.5))
+        assert len({Neighbor(3, 0.5), Neighbor(id=3, score=0.5)}) == 1
+
+    def test_equality(self):
+        assert Neighbor(3, 0.5) == Neighbor(id=3, score=0.5)
+        assert Neighbor(3, 0.5) != Neighbor(3, 0.25)
+        assert Neighbor(3, 0.5) != Neighbor(4, 0.5)
+
+    def test_is_the_pair(self):
+        nb = Neighbor(3, 0.5)
+        assert nb == (3, 0.5)
+        ident, score = nb
+        assert (ident, score) == (nb.id, nb.score) == (3, 0.5)
+
+
 class TestBruteForceMips:
     def test_two_point_example(self):
         X = Dataset([[1.0, 0.0], [0.0, 1.0]])

@@ -13,11 +13,12 @@ the rerank candidates are the pool's first `rerank` ids.
 `score_codes` is held bit for bit to a per-row loop of its own summation
 order, and to the reference within float64 rounding. Every SearchResult
 must equal the reference's, bit for bit, on every grid, budget and k = n
-case, and on the cases that scan the whole index with rerank 1 (all
-probes, a zero query, a query x 1e6, a budget). One hand-built index puts
-2^52 in one subspace, so that the two summation orders round apart: there
-search answers the entry the byte order ranks first, and the reference
-another entry with the same float32 exact score.
+case, at k = 100 with a spill pool of 2,000 entries, and on the cases that
+scan the whole index with rerank 1 (all probes, a zero query, a query x
+1e6, a budget). One hand-built index puts 2^52 in one subspace, so that
+the two summation orders round apart: there search answers the entry the
+byte order ranks first, and the reference another entry with the same
+float32 exact score.
 """
 
 import numpy as np
@@ -159,27 +160,51 @@ def test_score_codes_matches_reference_on_trained_codes():
 # top_positions == the full lexsort's prefix
 
 
+_SELECTION_SIZE = 5000
+
+
 def _selection_cases():
     rng = np.random.default_rng(8)
-    signed_zeros = np.where(rng.random(600) < 0.5, 0.0, -0.0)
-    signed_zeros[rng.integers(600, size=80)] = rng.choice([-1.0, 1.0], size=80)
+    size = _SELECTION_SIZE
+    signed_zeros = np.where(rng.random(size) < 0.5, 0.0, -0.0)
+    signed_zeros[rng.integers(size, size=600)] = rng.choice([-1.0, 1.0], size=600)
+    with_nan = rng.standard_normal(size)
+    with_nan[rng.integers(size, size=30)] = np.nan
+    # float32 normals repeat at this size, so the repeats are dropped
+    distinct32 = rng.permutation(np.unique(rng.standard_normal(size + 100).astype(np.float32)))
     return {
-        "float32": (rng.standard_normal(600).astype(np.float32), None),
-        "float64": (rng.standard_normal(600), None),
-        "heavy-ties": (rng.integers(0, 4, size=600).astype(np.float32), None),
+        "float32": (distinct32[:size], None),
+        "float64": (rng.standard_normal(size), None),
+        "heavy-ties": (rng.integers(0, 4, size=size).astype(np.float32), None),
         "signed-zeros": (signed_zeros, None),
-        "tiebreak-ids": (rng.integers(0, 6, size=600).astype(np.float64), rng.permutation(600)),
+        "tiebreak-ids": (rng.integers(0, 6, size=size).astype(np.float64), rng.permutation(size)),
+        "nan": (with_nan, None),
     }
 
 
 SELECTION = _selection_cases()
 
 
-@pytest.mark.parametrize("count", [1, 2, 7, 60, 299, 300, 301])
+def test_selection_cases_take_the_paths_they_name():
+    # float32 and float64 hold no equal scores, so a cut that keeps
+    # _SELECT_FROM entries or more sorts them by score alone; the ties of the
+    # next three (a signed zero ties too) send such a cut to the lexsort,
+    # and the NaN sends every selecting cut to the full lexsort
+    for case in ("float32", "float64"):
+        assert np.unique(SELECTION[case][0]).shape[0] == _SELECTION_SIZE, case
+    for case in ("heavy-ties", "signed-zeros", "tiebreak-ids"):
+        assert np.unique(SELECTION[case][0][:40]).shape[0] < 10, case
+    assert np.isnan(SELECTION["nan"][0][:600]).any()
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 60, 299, 300, 301, 1000, 2000])
 @pytest.mark.parametrize("case", sorted(SELECTION))
 def test_top_positions_is_the_lexsort_prefix(case, count):
-    # below _SELECT_FROM entries top_positions sorts them all, from it on it selects
-    for size in (40, _SELECT_FROM - 1, _SELECT_FROM, 600):
+    # below _SELECT_FROM entries top_positions sorts them all, from it on it
+    # selects, and from _SELECT_FROM kept entries on (the larger counts) it
+    # sorts by score alone; 2,000 and 5,000 entries are the pool cut's
+    # sizes at k = 100
+    for size in (40, _SELECT_FROM - 1, _SELECT_FROM, 600, 2000, _SELECTION_SIZE):
         scores = SELECTION[case][0][:size]
         tiebreak = None if SELECTION[case][1] is None else SELECTION[case][1][:size]
         keys = np.arange(size) if tiebreak is None else tiebreak
@@ -333,6 +358,20 @@ def test_probe_and_rerank_grid(dataset):
     # under a spill, pools that truncate the scanned entries and pools
     # that hold every one of them are both exercised
     assert pooled and bypassed
+
+
+@pytest.mark.parametrize("policy", ["none", "naive", "soar"])
+def test_large_pool(policy):
+    # k = 100: rerank 1,000, a pool of 2,000 entries under a spill, cut from
+    # over 2,000 scanned entries; the DATA instances keep a few hundred
+    X, Q = _mixture(5000, 16, seed=4)
+    index = build(Dataset(X), c=20, policy=policy, s=2, seed=3, lam=1.0)
+    for probes in (10, 16):
+        params = SearchParams(k=100, probes=probes)
+        for q in Q:
+            result = search(index, q, params)
+            assert result.datapoints_scanned > 2000
+            assert _answer(result) == _answer(reference_search(index, q, params))
 
 
 def test_budgets(dataset):
