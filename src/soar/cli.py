@@ -30,6 +30,7 @@ from .core import Dataset
 from .evaluation import MIN_THEOREM_SAMPLES
 from .index import SearchParams
 from .vecio import DataFormatError
+from .vq import _valid_lam
 
 __all__ = ["main"]
 
@@ -60,7 +61,7 @@ def _lambda_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
-    if not all(math.isfinite(v) and v >= 0 for v in values):
+    if not all(map(_valid_lam, values)):
         raise argparse.ArgumentTypeError(f"expected finite lambdas >= 0, got {text!r}")
     return values
 

@@ -11,8 +11,10 @@ forms say they should, with queries drawn uniformly from the unit sphere.
 
 Monte Carlo runs are blocked: each fixed-size block gets its own seed
 spawned from the master seed, and only float64 sums cross block
-boundaries, so results depend on (seed, samples) alone and blocks can be
-evaluated in any order or in parallel without changing the answer.
+boundaries, so blocks can be evaluated in any order or in parallel without
+changing the answer. An int seed gives the same result on every call; a
+SeedSequence is advanced by each call's spawn, so a second call with the
+same object draws fresh blocks.
 """
 
 from dataclasses import dataclass
@@ -108,11 +110,11 @@ def _center_ranks(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _resolve_truth(Q: Dataset, X: Dataset, index, k: int, truth) -> np.ndarray:
+def _resolve_truth(Q: Dataset, index, k: int, truth) -> np.ndarray:
     """The supplied (|Q|, k) truth matrix, checked by shape and id range, or
-    the exact ground_truth_ids(Q, X, k) when none is supplied."""
+    the exact ground_truth_ids(Q, index.full_store, k) when none is supplied."""
     if truth is None:
-        return ground_truth_ids(Q, X, k)
+        return ground_truth_ids(Q, index.full_store, k)
     truth = np.asarray(truth, dtype=np.int64)
     if truth.shape != (Q.n, k):
         raise ValueError(f"truth of shape {truth.shape} does not match ({Q.n}, {k})")
@@ -129,9 +131,9 @@ def kmr_curve(Q: Dataset, index, k: int, truth=None) -> KmrCurve:
     ground_truth_ids(Q, index.full_store, k); pass it in to score against a
     ground truth already at hand instead of recomputing it.
     """
-    truth = _resolve_truth(Q, index.full_store, index, k, truth)
+    truth = _resolve_truth(Q, index, k, truth)
     c = index.c
-    ranks = _center_ranks(Q.data.astype(np.float64), index.centers64)
+    ranks = _center_ranks(Q.data.astype(np.float64), index.codebook.centers64)
     best = np.take_along_axis(ranks, index.assignment.primary[truth], axis=1)
     spill = index.assignment.spilled
     if spill is not None:
@@ -216,8 +218,8 @@ def diagnostics(Q: Dataset, index, k: int, truth=None) -> DiagnosticsResult:
     by default the exact ground_truth_ids(Q, index.full_store, k).
     """
     X = index.full_store
-    truth = _resolve_truth(Q, X, index, k, truth)
-    centers = index.centers64
+    truth = _resolve_truth(Q, index, k, truth)
+    centers = index.codebook.centers64
     qv = Q.data.astype(np.float64)
     qnorms = np.linalg.norm(qv, axis=1)
     if np.any(qnorms == 0):
@@ -281,10 +283,10 @@ class SweepPoint:
     mean_rho: float  # mean cos(r, r'), the closed-form score correlation
 
 
-def lambda_sweep(X: Dataset, codebook, primary, lambdas=(0.0, 0.5, 1.0, 2.0, 4.0)):
-    """Re-run the spilled assignment per lambda over a fixed codebook and
-    primary table, reporting spill residual mass and the closed-form
-    correlation between primary and spilled score errors.
+def lambda_sweep(X: Dataset, codebook, lambdas=(0.0, 0.5, 1.0, 2.0, 4.0)):
+    """Re-run the spilled assignment per lambda over a fixed codebook,
+    reporting spill residual mass and the closed-form correlation between
+    primary and spilled score errors.
 
     The correlation needs no query sample: for unit-sphere queries it
     equals cos(r, r') exactly, so it is computed per datapoint from the
@@ -294,23 +296,18 @@ def lambda_sweep(X: Dataset, codebook, primary, lambdas=(0.0, 0.5, 1.0, 2.0, 4.0
     if len(lams) < 1 or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be strictly ascending")
     data = X.data.astype(np.float64)
-    centers = codebook.centers.astype(np.float64)
-    res = data - centers[primary.primary]
-    res_norms = np.linalg.norm(res, axis=1)
+    centers = codebook.centers64
     points = []
     for lam in lams:
-        table = assign_spilled_soar(X, codebook, primary, lam)
+        table = assign_spilled_soar(X, codebook, lam)
+        if not points:  # every table holds the same primary
+            res = data - centers[table.primary]
+            res_norms = np.linalg.norm(res, axis=1)
         res2 = data - centers[table.spilled]
         res2_norms = np.linalg.norm(res2, axis=1)
         denom = res_norms * res2_norms
         rho = np.divide((res * res2).sum(axis=1), denom, out=np.zeros(X.n), where=denom > 0)
-        points.append(
-            SweepPoint(
-                lam=lam,
-                mean_spill_sq_norm=float((res2_norms**2).mean()),
-                mean_rho=float(rho.mean()),
-            )
-        )
+        points.append(SweepPoint(lam, float((res2_norms**2).mean()), float(rho.mean())))
     return points
 
 
@@ -320,9 +317,10 @@ def lambda_sweep(X: Dataset, codebook, primary, lambdas=(0.0, 0.5, 1.0, 2.0, 4.0
 
 def _sphere_blocks(d: int, samples: int, seed):
     """Yield blocks of unit-norm float32 rows with per-block seeds spawned
-    from the master seed, so the stream is reproducible and
-    order-independent. Per-sample float32 noise is orders of magnitude
-    below the Monte Carlo noise floor; cross-block sums stay float64."""
+    from the master seed, so the stream is order-independent, and the same
+    for every call with an int seed; spawning advances a SeedSequence seed.
+    Per-sample float32 noise is orders of magnitude below the Monte Carlo
+    noise floor; cross-block sums stay float64."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n_blocks = (samples + _BLOCK - 1) // _BLOCK
     children = ss.spawn(n_blocks)

@@ -1,10 +1,11 @@
 """The inverted-file index: build, search, and the on-disk format.
 
-Build pipeline: train the partition codebook, assign every point to its
-nearest partition, optionally spill each point into a second partition,
-train a product quantizer on the primary residuals, and encode one posting
-entry per (point, partition) membership. Spilled entries encode the
-residual against the partition that holds them, with the same quantizer.
+Build pipeline: train the partition codebook; assign every point to its
+nearest partition (assign_primary), or, for a spilled policy, to its
+nearest and a second partition in one distance pass (assign_spilled_*);
+form the primary residuals once, train a product quantizer on them and
+encode them; then encode the spilled entries' residuals against the
+partitions that hold them, with the same quantizer, in the same buffer.
 
 In memory the postings are one CSR ("compressed sparse row") table:
 `offsets` (c+1,) int64, `ids` (E,) uint32 and `codes` (E, code_bytes)
@@ -78,6 +79,7 @@ from .vq import (
     Codebook,
     POLICIES,
     _check_soar_lam,
+    _valid_lam,
     assign_primary,
     assign_spilled_naive,
     assign_spilled_soar,
@@ -235,7 +237,6 @@ class SoarIndex:
         if assignment.n != full_store.n or ids.shape[0] != entries:
             raise ValueError("posting table does not match the assignment table")
         self.codebook = codebook
-        self.centers64 = codebook.centers.astype(np.float64)  # cast once, not per query
         self.pq_book = pq_book
         self.offsets = offsets
         self.ids = ids
@@ -269,26 +270,6 @@ class SoarIndex:
         return np.diff(self.offsets)
 
 
-def _build_postings(
-    X64: np.ndarray, codebook: Codebook, pq_book: PQCodebook, assignment: AssignmentTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One posting entry per membership, each encoding the residual against
-    the partition that holds it: the CSR (offsets, ids, codes) table, each
-    partition's primaries first, then its spills, ids ascending in each run."""
-    centers = codebook.centers.astype(np.float64)
-    memberships = [assignment.primary]
-    if assignment.spilled is not None:
-        memberships.append(assignment.spilled)
-    parts = np.concatenate(memberships).astype(np.int64)
-    ids = np.tile(np.arange(X64.shape[0], dtype=np.uint32), len(memberships))
-    codes = np.concatenate([pq_encode_batch(X64 - centers[p], pq_book) for p in memberships])
-    # the entries are already in (primary before spill, id) order, which a
-    # stable sort by partition keeps within each partition
-    order = np.argsort(parts, kind="stable")
-    offsets = np.searchsorted(parts[order], np.arange(codebook.c + 1)).astype(np.int64)
-    return offsets, ids[order], codes[order]
-
-
 def build(
     X: Dataset,
     c: int,
@@ -308,22 +289,34 @@ def build(
     if policy != "none" and c < 2:
         raise ValueError("spilled assignment needs at least 2 partitions")
     codebook = train_kmeans(X, c, max_iters=max_iters, seed=seed)
-    primary = assign_primary(X, codebook)
     if policy == "naive":
-        assignment = assign_spilled_naive(X, codebook, primary)
+        assignment = assign_spilled_naive(X, codebook)
     elif policy == "soar":
-        assignment = assign_spilled_soar(X, codebook, primary, lam)
+        assignment = assign_spilled_soar(X, codebook, lam)
     else:
-        assignment = primary
-    X64 = X.data.astype(np.float64)
-    pq_book = train_pq(X64 - codebook.centers.astype(np.float64)[primary.primary], s=s, seed=seed)
-    offsets, ids, codes = _build_postings(X64, codebook, pq_book, assignment)
+        assignment = assign_primary(X, codebook)
+    memberships = [p for p in (assignment.primary, assignment.spilled) if p is not None]
+    # one (n, d) float64 buffer holds each membership's residuals x - c in
+    # turn, without a float64 copy of X; the primary ones also train the PQ
+    residuals = codebook.centers64[assignment.primary]
+    np.subtract(X.data, residuals, out=residuals)
+    pq_book = train_pq(residuals, s=s, seed=seed)
+    codes = [pq_encode_batch(residuals, pq_book)]
+    for part in memberships[1:]:
+        np.take(codebook.centers64, part, axis=0, out=residuals)
+        np.subtract(X.data, residuals, out=residuals)
+        codes.append(pq_encode_batch(residuals, pq_book))
+    # the CSR table, each partition's primaries first, then its spills, ids
+    # ascending in each run: the entries are already in (primary before
+    # spill, id) order, which a stable sort by partition keeps
+    parts = np.concatenate(memberships).astype(np.int64)
+    order = np.argsort(parts, kind="stable")
     return SoarIndex(
         codebook=codebook,
         pq_book=pq_book,
-        offsets=offsets,
-        ids=ids,
-        codes=codes,
+        offsets=np.searchsorted(parts[order], np.arange(c + 1)).astype(np.int64),
+        ids=np.tile(np.arange(X.n, dtype=np.uint32), len(memberships))[order],
+        codes=np.concatenate(codes)[order],
         full_store=X,
         seed=seed,
         assignment=assignment,
@@ -349,7 +342,7 @@ def search(index: SoarIndex, q, params: SearchParams) -> SearchResult:
     if not np.all(np.isfinite(qv)):
         raise ValueError("query contains NaN or Inf")
     rerank = params.resolved_rerank()
-    center_scores = (index.centers64 @ qv).astype(np.float32)
+    center_scores = (index.codebook.centers64 @ qv).astype(np.float32)
     # the budget walks partitions in rank order until it runs out, so it
     # needs them all ranked; probes needs only the best `probes`
     order = top_positions(center_scores, index.c if params.budget is not None else params.probes)
@@ -445,7 +438,7 @@ def deserialize(data) -> SoarIndex:
     if code_bytes != (m + 1) // 2:
         raise IndexFormatError("header", f"code_bytes={code_bytes} inconsistent with m={m}")
     # what build writes: a finite lambda >= 0 for soar, 0 for the other policies
-    if not (math.isfinite(lam) and lam >= 0 if policy == "soar" else lam == 0):
+    if not (_valid_lam(lam) if policy == "soar" else lam == 0):
         raise IndexFormatError("header", f"lambda {lam!r} invalid for policy {policy!r}")
     layout = iter(sections(n, d, c, s, spilled=policy != "none")[1:])  # after the header
 

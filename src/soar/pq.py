@@ -15,12 +15,12 @@ them, and the codebooks and codes are the same bits at every CPU count.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import ordered_map
-from .vq import lloyd_kmeans
+from .vq import _with_centers64, lloyd_kmeans
 
 __all__ = [
     "SUBSPACE_CENTERS",
@@ -39,10 +39,12 @@ _ENCODE_ROWS = 4096  # rows per block of the encode's (rows, 16, s) differences
 
 @dataclass(frozen=True)
 class PQCodebook:
-    """Per-subspace centers, shape (m, 16, s) float32. d is pre-padding."""
+    """Per-subspace centers, shape (m, 16, s) float32, and their float64
+    cast. d is pre-padding."""
 
     centers: np.ndarray
     d: int
+    centers64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.centers, dtype=np.float32)
@@ -52,9 +54,7 @@ class PQCodebook:
             raise ValueError("centers contain NaN or Inf")
         if not 1 <= self.d <= arr.shape[0] * arr.shape[2]:
             raise ValueError(f"d={self.d} inconsistent with centers of shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "centers", arr)
+        _with_centers64(self, arr)
 
     @property
     def m(self) -> int:
@@ -81,8 +81,9 @@ def _pad_rows(rows: np.ndarray, padded_d: int) -> np.ndarray:
     return out
 
 
-def train_pq(residuals, s: int, seed: int = 0, max_iters: int = 25) -> PQCodebook:
-    """Train one 16-center codebook per subspace on the given residuals.
+def train_pq(residuals, s: int, seed: int = 0) -> PQCodebook:
+    """Train one 16-center codebook per subspace on the given residuals,
+    25 Lloyd iterations at most.
 
     Degenerate subspaces (fewer than 16 distinct subvectors, e.g. all-zero
     residuals) are allowed and simply leave duplicate centers behind.
@@ -100,7 +101,7 @@ def train_pq(residuals, s: int, seed: int = 0, max_iters: int = 25) -> PQCodeboo
 
     def train_subspace(j: int) -> np.ndarray:
         sub = rows[:, j * s : (j + 1) * s]
-        return lloyd_kmeans(sub, k, max_iters=max_iters, rng=np.random.default_rng(seeds[j]))
+        return lloyd_kmeans(sub, k, rng=np.random.default_rng(seeds[j]))
 
     centers = np.empty((m, SUBSPACE_CENTERS, s), dtype=np.float32)
     for j, trained in enumerate(ordered_map(train_subspace, range(m))):
@@ -115,7 +116,7 @@ def _nearest_codes(rows: np.ndarray, book: PQCodebook) -> np.ndarray:
     rows = _pad_rows(np.asarray(rows, dtype=np.float64), book.padded_d)
     n, s = rows.shape[0], book.s
     codes = np.empty((n, book.m), dtype=np.uint8)
-    centers = book.centers.astype(np.float64)
+    centers = book.centers64
 
     def encode_subspace(j: int) -> None:
         for lo in range(0, n, _ENCODE_ROWS):
@@ -167,7 +168,7 @@ def scoring_table(q, book: PQCodebook) -> np.ndarray:
         raise ValueError(f"query of shape {qv.shape} does not match codebook d={book.d}")
     qpad = _pad_rows(qv[None, :], book.padded_d)[0]
     qsub = qpad.reshape(book.m, book.s)
-    return np.einsum("mks,ms->mk", book.centers.astype(np.float64), qsub)
+    return np.einsum("mks,ms->mk", book.centers64, qsub)
 
 
 def score_codes(table: np.ndarray, packed: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Primary assignment is plain nearest-center Euclidean quantization. Spilled
 assignment adds a second partition per point under one of two policies:
 "naive" takes the second-nearest center, "soar" penalizes candidates whose
 residual is parallel to the primary residual, so the two copies of a point
-fail on different queries instead of the same ones.
+fail on different queries instead of the same ones. The spill functions
+take each point's primary from the distance pass that picks its spill.
 
 All distance work happens in float64 regardless of input dtype; emitted
 codebooks are float32. Ties break toward the lower partition id.
@@ -35,18 +36,31 @@ _CHUNK = 8192  # rows per block in pairwise-distance work; bounds peak memory
 _SEED_ROWS = 4096  # rows per block of k-means++ seeding's distance updates
 
 
+def _valid_lam(lam) -> bool:
+    """Whether lam is the finite lambda >= 0 that soar's loss needs: the rule
+    for assignment, soar_loss, Theorem 1's check, index headers and the CLI."""
+    return lam is not None and math.isfinite(lam) and lam >= 0
+
+
 def _check_soar_lam(lam) -> None:
-    """Raise unless lam is the finite lambda >= 0 that soar's spill loss
-    needs (assignment, soar_loss and the Monte Carlo check of Theorem 1)."""
-    if lam is None or not (math.isfinite(lam) and lam >= 0):
+    if not _valid_lam(lam):
         raise ValueError(f"policy 'soar' requires a finite lam >= 0, got {lam!r}")
+
+
+def _with_centers64(book, arr: np.ndarray) -> None:
+    """Set a frozen codebook's centers to a read-only copy of arr and its
+    centers64 to their read-only float64 cast, made once for every reader."""
+    for name, value in (("centers", arr.copy()), ("centers64", arr.astype(np.float64))):
+        value.setflags(write=False)
+        object.__setattr__(book, name, value)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """c partition centers, one row each, float32."""
+    """c partition centers, one row each, float32, and their float64 cast."""
 
     centers: np.ndarray
+    centers64: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.centers, dtype=np.float32)
@@ -54,9 +68,7 @@ class Codebook:
             raise ValueError(f"centers must be a non-empty 2-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("centers contain NaN or Inf")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "centers", arr)
+        _with_centers64(self, arr)
 
     @property
     def c(self) -> int:
@@ -271,7 +283,7 @@ def assign_primary(X: Dataset, codebook: Codebook) -> AssignmentTable:
     """Nearest center per datapoint, ties toward the lower partition id."""
     if X.d != codebook.d:
         raise ValueError(f"dataset dimension {X.d} does not match codebook dimension {codebook.d}")
-    assign, _ = _nearest_center(X.data.astype(np.float64), codebook.centers.astype(np.float64))
+    assign, _ = _nearest_center(X.data.astype(np.float64), codebook.centers64)
     return AssignmentTable(primary=assign.astype(np.int32), spilled=None, policy="none")
 
 
@@ -293,62 +305,56 @@ def soar_loss(r_prime, r, lam: float) -> float:
     return sq + lam * penalty
 
 
-def _spill_argmin(
-    X: Dataset, codebook: Codebook, primary: AssignmentTable, lam: float
-) -> np.ndarray:
-    """Argmin of the spill objective over all non-primary partitions.
+def _spill_argmin(X: Dataset, codebook: Codebook, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(primary, spilled) int32 partitions per point from one distance pass.
 
-    With lam == 0 the objective is bitwise equal to the squared Euclidean
-    distance, so this doubles as the second-nearest-center routine.
+    Each chunk's primary is the argmin of its squared distances, the same
+    blocks and hence the same bits as assign_primary's; the spill is the
+    argmin of the spill objective over the other partitions. With lam == 0
+    the objective is bitwise equal to the squared Euclidean distance, so
+    this doubles as the second-nearest-center routine.
     """
-    points = X.data.astype(np.float64)
-    centers = codebook.centers.astype(np.float64)
-    prim = primary.primary.astype(np.int64)
-    n = points.shape[0]
+    centers = codebook.centers64
+    n = X.n
     cnorm = _sq_norms(centers)
-    out = np.empty(n, dtype=np.int64)
+    primary = np.empty(n, dtype=np.int32)
+    spilled = np.empty(n, dtype=np.int32)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        rows = points[lo:hi]
+        rows = X.data[lo:hi].astype(np.float64)  # a chunk at a time: no float64 copy of X
         loss = _sq_dists(rows, centers, _sq_norms(rows), cnorm)
+        prim = loss.argmin(axis=1)  # argmin takes the lowest index on ties
+        primary[lo:hi] = prim
         if lam > 0.0:
-            res = rows - centers[prim[lo:hi]]
+            res = rows - centers[prim]
             norms = np.sqrt((res * res).sum(axis=1))
             rhat = np.divide(res, norms[:, None], out=np.zeros_like(res), where=norms[:, None] > 0)
             proj = (rhat * rows).sum(axis=1)[:, None] - rhat @ centers.T
             loss += lam * proj * proj
-        loss[np.arange(hi - lo), prim[lo:hi]] = np.inf
-        out[lo:hi] = loss.argmin(axis=1)
-    return out
+        loss[np.arange(hi - lo), prim] = np.inf
+        spilled[lo:hi] = loss.argmin(axis=1)
+    return primary, spilled
 
 
-def _check_spill_inputs(X: Dataset, codebook: Codebook, primary: AssignmentTable):
+def _check_spill_inputs(X: Dataset, codebook: Codebook) -> None:
     if codebook.c < 2:
         raise ValueError("spilled assignment needs at least 2 partitions")
     if X.d != codebook.d:
         raise ValueError(f"dataset dimension {X.d} does not match codebook dimension {codebook.d}")
-    if primary.n != X.n:
-        raise ValueError("primary assignment length does not match dataset")
-    if primary.primary.min() < 0 or primary.primary.max() >= codebook.c:
-        raise ValueError("primary assignment out of partition range")
 
 
-def assign_spilled_soar(
-    X: Dataset, codebook: Codebook, primary: AssignmentTable, lam: float
-) -> AssignmentTable:
-    """Second partition per point minimizing the parallelism-penalized loss."""
+def assign_spilled_soar(X: Dataset, codebook: Codebook, lam: float) -> AssignmentTable:
+    """Nearest center per point, and a second partition per point
+    minimizing the parallelism-penalized loss against that primary."""
     _check_soar_lam(lam)
-    _check_spill_inputs(X, codebook, primary)
-    spilled = _spill_argmin(X, codebook, primary, lam)
-    return AssignmentTable(
-        primary=primary.primary, spilled=spilled.astype(np.int32), policy="soar", lam=float(lam)
-    )
+    _check_spill_inputs(X, codebook)
+    primary, spilled = _spill_argmin(X, codebook, lam)
+    return AssignmentTable(primary=primary, spilled=spilled, policy="soar", lam=float(lam))
 
 
-def assign_spilled_naive(
-    X: Dataset, codebook: Codebook, primary: AssignmentTable
-) -> AssignmentTable:
-    """Second-nearest center per point (squared Euclidean), ignoring geometry."""
-    _check_spill_inputs(X, codebook, primary)
-    spilled = _spill_argmin(X, codebook, primary, lam=0.0)
-    return AssignmentTable(primary=primary.primary, spilled=spilled.astype(np.int32), policy="naive")
+def assign_spilled_naive(X: Dataset, codebook: Codebook) -> AssignmentTable:
+    """Nearest and second-nearest center per point (squared Euclidean),
+    ignoring geometry."""
+    _check_spill_inputs(X, codebook)
+    primary, spilled = _spill_argmin(X, codebook, lam=0.0)
+    return AssignmentTable(primary=primary, spilled=spilled, policy="naive")

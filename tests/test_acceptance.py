@@ -148,8 +148,8 @@ def test_criterion_3_lambda_zero_is_second_nearest(criterion_report, small):
     X, _ = small
     book = train_kmeans(X, 64, seed=5)
     primary = assign_primary(X, book)
-    got = assign_spilled_soar(X, book, primary, lam=0.0)
-    naive = assign_spilled_naive(X, book, primary)
+    got = assign_spilled_soar(X, book, lam=0.0)
+    naive = assign_spilled_naive(X, book)
 
     diffs = X.data.astype(np.float64)[:, None, :] - book.centers.astype(np.float64)[None, :, :]
     dists = (diffs**2).sum(axis=2)
@@ -216,7 +216,7 @@ def test_criterion_6_scan_cost_to_reach_recall(criterion_report, big, big_indice
 def test_criterion_7_lambda_sweep_monotonicity(criterion_report, big, big_indices):
     X, _ = big
     idx = big_indices["none"]
-    points = lambda_sweep(X, idx.codebook, idx.assignment, (0.0, 0.5, 1.0, 2.0, 4.0))
+    points = lambda_sweep(X, idx.codebook, (0.0, 0.5, 1.0, 2.0, 4.0))
     norms = np.array([p.mean_spill_sq_norm for p in points])
     rhos = np.array([p.mean_rho for p in points])
     norm_tol = 0.01 * (norms.max() - norms.min())

@@ -3,6 +3,7 @@ exactly what its __init__ imports."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -30,3 +31,19 @@ def test_package_all_is_what_init_imports():
         for alias in node.names
     }
     assert sorted(soar.__all__) == sorted(imported | {"__version__"})
+
+
+def test_perfbench_span_names_resolve():
+    """Every (module, attribute) the benchmark's span recorder wraps exists
+    and is callable, so a library refactor cannot leave a per-layer metric
+    silently absent."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = [
+        (module, attribute)
+        for module, attribute, _, _ in spans.LAYERS
+        if not callable(getattr(importlib.import_module(module), attribute, None))
+    ]
+    assert spans.LAYERS and unresolved == []

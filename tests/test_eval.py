@@ -304,8 +304,8 @@ class TestLambdaSweep:
     def test_lambda_zero_matches_naive_assignment(self, instance):
         X, _ = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        points = lambda_sweep(X, idx.codebook, idx.assignment, (0.0, 1.0))
-        naive = assign_spilled_naive(X, idx.codebook, idx.assignment)
+        points = lambda_sweep(X, idx.codebook, (0.0, 1.0))
+        naive = assign_spilled_naive(X, idx.codebook)
         data = X.data.astype(np.float64)
         res2 = data - idx.codebook.centers.astype(np.float64)[naive.spilled]
         assert points[0].mean_spill_sq_norm == float(
@@ -315,7 +315,7 @@ class TestLambdaSweep:
     def test_spill_norm_non_decreasing(self, instance):
         X, _ = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
-        points = lambda_sweep(X, idx.codebook, idx.assignment)
+        points = lambda_sweep(X, idx.codebook)
         norms = [p.mean_spill_sq_norm for p in points]
         assert all(b >= a for a, b in zip(norms, norms[1:]))
         assert [p.lam for p in points] == [0.0, 0.5, 1.0, 2.0, 4.0]
@@ -324,14 +324,14 @@ class TestLambdaSweep:
         X, Q = instance
         idx = build(X, c=10, policy="none", s=2, seed=3)
         with pytest.raises(TypeError):
-            lambda_sweep(X, idx.codebook, idx.assignment, Q, (0.0, 2.0))
+            lambda_sweep(X, idx.codebook, Q, (0.0, 2.0))
 
     def test_requires_ascending_lambdas(self, instance):
         X, _ = instance
         idx = build(X, c=4, policy="none", s=2, seed=3)
         for bad in ((1.0, 1.0), (2.0, 1.0), ()):
             with pytest.raises(ValueError):
-                lambda_sweep(X, idx.codebook, idx.assignment, bad)
+                lambda_sweep(X, idx.codebook, bad)
 
 
 class TestTheoremMc:

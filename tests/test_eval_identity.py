@@ -50,7 +50,7 @@ def reference_kmr_curve(Q: Dataset, X: Dataset, index, k: int, truth=None) -> Km
     ground_truth_ids(Q, X, k); pass it in to score against a ground truth
     already at hand instead of recomputing it.
     """
-    truth = _resolve_truth(Q, X, index, k, truth)
+    truth = _resolve_truth(Q, index, k, truth)
     c = index.c
     centers = index.codebook.centers.astype(np.float64)
     sizes = index.posting_sizes()
@@ -105,7 +105,7 @@ def reference_diagnostics(Q: Dataset, X: Dataset, index, k: int, truth=None) -> 
     truth is handled as in kmr_curve: a (|Q|, k) matrix of neighbor ids,
     by default the exact ground_truth_ids(Q, X, k).
     """
-    truth = _resolve_truth(Q, X, index, k, truth)
+    truth = _resolve_truth(Q, index, k, truth)
     centers = index.codebook.centers.astype(np.float64)
     prim = index.assignment.primary
     spill = index.assignment.spilled

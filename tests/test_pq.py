@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,27 @@ def _grid_book():
         centers[0, t] = (t, 0.0)
         centers[1, t] = (0.0, t)
     return _book_from(centers)
+
+
+class TestCenters64:
+    def test_read_only_float64_cast(self):
+        book = _grid_book()
+        assert book.centers64.dtype == np.float64
+        assert book.centers64.tobytes() == book.centers.astype(np.float64).tobytes()
+        assert not book.centers64.flags.writeable
+        with pytest.raises(ValueError):
+            book.centers64[0, 0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            book.centers64 = book.centers64
+
+    def test_not_in_init_repr_or_equality(self):
+        (field,) = [f for f in dataclasses.fields(PQCodebook) if f.name == "centers64"]
+        assert (field.init, field.repr, field.compare) == (False, False, False)
+        assert "centers64" not in repr(_grid_book())
+        one = _grid_book()
+        other = copy.copy(one)  # the same centers array, so equal if centers64 is ignored
+        object.__setattr__(other, "centers64", np.zeros_like(one.centers64))
+        assert one == other
 
 
 class TestTrainPq:
@@ -141,18 +165,3 @@ class TestPqScore:
             via_table = score_codes(scoring_table(q, book), codes[i : i + 1])[0]
             via_decode = batch_inner_products(q, pq_decode(codes[i], book)[None, :])[0]
             assert via_table == pytest.approx(via_decode, rel=1e-5, abs=1e-6)
-
-
-class TestTrainedSubspaces:
-    def test_reconstruction_improves_with_iterations(self):
-        rng = np.random.default_rng(29)
-        rows = rng.standard_normal((1500, 4)) * np.array([3.0, 0.3, 3.0, 0.3])
-        errors = []
-        for iters in (1, 3, 8):
-            book = train_pq(rows, s=2, seed=6, max_iters=iters)
-            codes = pq_encode_batch(rows, book)
-            err = 0.0
-            for i in range(0, 1500, 10):
-                err += float(((rows[i] - pq_decode(codes[i], book)) ** 2).sum())
-            errors.append(err)
-        assert errors[2] <= errors[0] + 1e-9

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from soar import vq
 from soar.core import Dataset
 from soar.vq import (
     AssignmentTable,
@@ -181,30 +184,28 @@ class TestAssignSpilledSoar:
         book = Codebook(_GEO_CENTERS)
         prim = assign_primary(X, book)
         assert prim.primary[0] == 0
-        assert assign_spilled_soar(X, book, prim, lam=1.0).spilled[0] == 1
+        assert assign_spilled_soar(X, book, lam=1.0).spilled[0] == 1
 
     def test_geometry_large_lambda_prefers_orthogonal(self):
         X = Dataset(_GEO_X)
         book = Codebook(_GEO_CENTERS)
-        prim = assign_primary(X, book)
-        assert assign_spilled_soar(X, book, prim, lam=2.0).spilled[0] == 2
-        assert assign_spilled_soar(X, book, prim, lam=8.0).spilled[0] == 2
+        assert assign_spilled_soar(X, book, lam=2.0).spilled[0] == 2
+        assert assign_spilled_soar(X, book, lam=8.0).spilled[0] == 2
 
     def test_geometry_crossover_threshold(self):
         X = Dataset(_GEO_X)
         book = Codebook(_GEO_CENTERS)
-        prim = assign_primary(X, book)
         # hand-derived: losses tie at lambda = 0.8397 / 0.605104
         threshold = 0.8397 / 0.605104
-        assert assign_spilled_soar(X, book, prim, lam=threshold - 0.05).spilled[0] == 1
-        assert assign_spilled_soar(X, book, prim, lam=threshold + 0.05).spilled[0] == 2
+        assert assign_spilled_soar(X, book, lam=threshold - 0.05).spilled[0] == 1
+        assert assign_spilled_soar(X, book, lam=threshold + 0.05).spilled[0] == 2
 
     def test_matches_scalar_loss_scan(self):
         rng = np.random.default_rng(41)
         X = Dataset(rng.standard_normal((150, 6)))
         book = Codebook(rng.standard_normal((12, 6)).astype(np.float32))
         prim = assign_primary(X, book)
-        table = assign_spilled_soar(X, book, prim, lam=1.0)
+        table = assign_spilled_soar(X, book, lam=1.0)
         for i in range(X.n):
             x = X.data[i].astype(np.float64)
             r = x - book.centers[prim.primary[i]].astype(np.float64)
@@ -219,28 +220,25 @@ class TestAssignSpilledSoar:
         rng = np.random.default_rng(43)
         X = Dataset(rng.standard_normal((500, 5)))
         book = Codebook(rng.standard_normal((7, 5)).astype(np.float32))
-        prim = assign_primary(X, book)
         for lam in (0.0, 1.0, 4.0):
-            table = assign_spilled_soar(X, book, prim, lam)
+            table = assign_spilled_soar(X, book, lam)
             assert np.all(table.spilled != table.primary)
 
     def test_lambda_zero_equals_naive_exactly(self):
         rng = np.random.default_rng(47)
         X = Dataset(rng.standard_normal((2000, 8)))
         book = train_kmeans(X, c=20, seed=3)
-        prim = assign_primary(X, book)
-        via_soar = assign_spilled_soar(X, book, prim, lam=0.0)
-        via_naive = assign_spilled_naive(X, book, prim)
+        via_soar = assign_spilled_soar(X, book, lam=0.0)
+        via_naive = assign_spilled_naive(X, book)
         np.testing.assert_array_equal(via_soar.spilled, via_naive.spilled)
 
     def test_spill_residual_mass_grows_with_lambda(self):
         rng = np.random.default_rng(53)
         X = Dataset(rng.standard_normal((3000, 12)))
         book = train_kmeans(X, c=30, seed=9)
-        prim = assign_primary(X, book)
         means = []
         for lam in (0.0, 1.0, 4.0):
-            table = assign_spilled_soar(X, book, prim, lam)
+            table = assign_spilled_soar(X, book, lam)
             res = X.data.astype(np.float64) - book.centers.astype(np.float64)[table.spilled]
             means.append(float((res**2).sum(axis=1).mean()))
         assert means[0] <= means[1] <= means[2]
@@ -250,21 +248,19 @@ class TestAssignSpilledSoar:
         X = Dataset(_GEO_X)
         book = Codebook(_GEO_CENTERS)
         with pytest.raises(ValueError, match="requires a finite lam >= 0"):
-            assign_spilled_soar(X, book, assign_primary(X, book), lam)
+            assign_spilled_soar(X, book, lam)
 
     def test_requires_two_partitions(self):
         X = Dataset(np.ones((3, 2)))
         book = Codebook(np.ones((1, 2)))
-        prim = assign_primary(X, book)
         with pytest.raises(ValueError):
-            assign_spilled_soar(X, book, prim, lam=1.0)
+            assign_spilled_soar(X, book, lam=1.0)
 
     def test_negative_lambda_rejected(self):
         X = Dataset(np.ones((3, 2)))
         book = Codebook([[0.0, 0.0], [1.0, 1.0]])
-        prim = assign_primary(X, book)
         with pytest.raises(ValueError):
-            assign_spilled_soar(X, book, prim, lam=-1.0)
+            assign_spilled_soar(X, book, lam=-1.0)
 
 
 class TestAssignSpilledNaive:
@@ -272,7 +268,7 @@ class TestAssignSpilledNaive:
         book = Codebook([[0.0, 0.0], [4.0, 0.0], [10.0, 0.0]])
         X = Dataset([[1.0, 0.0], [9.0, 0.0]])
         prim = assign_primary(X, book)
-        table = assign_spilled_naive(X, book, prim)
+        table = assign_spilled_naive(X, book)
         np.testing.assert_array_equal(prim.primary, [0, 2])
         np.testing.assert_array_equal(table.spilled, [1, 1])
 
@@ -280,14 +276,89 @@ class TestAssignSpilledNaive:
         rng = np.random.default_rng(59)
         X = Dataset(rng.standard_normal((300, 5)))
         book = Codebook(rng.standard_normal((10, 5)).astype(np.float32))
-        prim = assign_primary(X, book)
-        table = assign_spilled_naive(X, book, prim)
+        table = assign_spilled_naive(X, book)
         for i in range(X.n):
             dists = [
                 float(((X.data[i].astype(np.float64) - book.centers[j].astype(np.float64)) ** 2).sum())
                 for j in range(book.c)
             ]
             assert table.spilled[i] == int(np.argsort(dists, kind="stable")[1])
+
+
+def _spill_instances():
+    """(name, X, codebook): random data, duplicate-heavy data, and data on
+    a grid whose distances to the centers tie exactly."""
+    rng = np.random.default_rng(61)
+    X = Dataset(rng.standard_normal((400, 6)))
+    dup = Dataset(np.repeat(rng.standard_normal((5, 6)), 80, axis=0))
+    grid = np.array([[x, y] for x in range(-1, 4) for y in range(-1, 4)], dtype=np.float32)
+    square = Codebook([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, 0.0]])
+    return [
+        ("random", X, train_kmeans(X, c=16, seed=2)),
+        ("duplicates", dup, train_kmeans(dup, c=8, seed=2)),
+        ("ties", Dataset(np.repeat(grid, 3, axis=0)), square),
+    ]
+
+
+def _spill_tables(X, book):
+    tables = {f"soar-{lam:g}": assign_spilled_soar(X, book, lam) for lam in (0.0, 1.0, 8.0)}
+    tables["naive"] = assign_spilled_naive(X, book)
+    return tables
+
+
+class TestOnePassSpill:
+    """A spill function's primary comes from its own distance pass and is
+    assign_primary's, bit for bit."""
+
+    @pytest.mark.parametrize("name, X, book", _spill_instances(), ids=lambda v: str(v)[:10])
+    def test_primary_equals_assign_primary(self, name, X, book):
+        want = assign_primary(X, book).primary
+        for policy, table in _spill_tables(X, book).items():
+            assert table.primary.dtype == want.dtype == np.int32, policy
+            assert table.primary.tobytes() == want.tobytes(), policy
+            assert np.all(table.spilled != table.primary), policy
+
+    def test_ties_take_the_lower_partition(self):
+        X = Dataset([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        book = Codebook([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+        table = assign_spilled_naive(X, book)
+        np.testing.assert_array_equal(table.primary, [0, 0, 0])
+        np.testing.assert_array_equal(table.spilled, [1, 1, 2])
+
+    def test_chunk_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        X = Dataset(rng.standard_normal((50, 4)))
+        book = train_kmeans(X, c=6, seed=1)
+        whole = _spill_tables(X, book)
+        monkeypatch.setattr(vq, "_CHUNK", 7)  # 50 rows: seven full chunks and a partial one
+        want = assign_primary(X, book).primary
+        for policy, table in _spill_tables(X, book).items():
+            assert table.primary.tobytes() == want.tobytes(), policy
+            np.testing.assert_array_equal(table.primary, whole[policy].primary)
+            np.testing.assert_array_equal(table.spilled, whole[policy].spilled)
+
+
+class TestCodebookCenters64:
+    def test_read_only_float64_cast(self):
+        book = Codebook(np.arange(6, dtype=np.float64).reshape(3, 2) / 7)
+        want = book.centers.astype(np.float64)
+        assert book.centers64.dtype == np.float64
+        assert book.centers64.tobytes() == want.tobytes()
+        assert not book.centers64.flags.writeable
+        with pytest.raises(ValueError):
+            book.centers64[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            book.centers64 = want
+
+    def test_not_in_init_repr_or_equality(self):
+        (field,) = [f for f in dataclasses.fields(Codebook) if f.name == "centers64"]
+        assert (field.init, field.repr, field.compare) == (False, False, False)
+        assert "centers64" not in repr(Codebook([[1.0, 2.0]]))
+        one, other = Codebook([[1.0]]), Codebook([[1.0]])
+        object.__setattr__(other, "centers64", np.zeros((1, 1)))
+        assert one == other  # equality reads the float32 centers alone
+        with pytest.raises(TypeError):
+            Codebook([[1.0, 2.0]], centers64=np.zeros((1, 2)))
 
 
 class TestAssignmentTable:
